@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet staticcheck check bench bench-core bench-diff bench-smoke demo serve-smoke chaos
+.PHONY: build test race vet staticcheck check bench bench-core bench-diff bench-smoke bench-serve-smoke demo serve-smoke chaos
 
 build:
 	$(GO) build ./...
@@ -38,9 +38,9 @@ chaos:
 
 # check is the tier-1 verification gate: vet, staticcheck (when
 # installed), build, tests, race tests, the chaos suite, the serve
-# smoke test, and a one-iteration pass over the execution-core
-# benchmark workloads.
-check: vet staticcheck build test race chaos serve-smoke bench-smoke
+# smoke test, a one-iteration pass over the execution-core benchmark
+# workloads, and the serve benchmark's smoke tests.
+check: vet staticcheck build test race chaos serve-smoke bench-smoke bench-serve-smoke
 
 bench:
 	$(GO) run ./cmd/cliobench -quick
@@ -66,6 +66,13 @@ bench-diff:
 # sizes).
 bench-smoke:
 	$(GO) run ./cmd/cliobench -exp E10 -quick -once -diff BENCH_core.json
+
+# bench-serve-smoke runs the serve-session benchmark's smoke tests.
+# servebench is a Go module of its own, so `go test ./...` at the root
+# never reaches them; they fail when the spans or counters its fold
+# reads disappear.
+bench-serve-smoke:
+	cd servebench && $(GO) test ./...
 
 demo:
 	$(GO) run ./cmd/cliodemo

@@ -211,39 +211,6 @@ func BenchmarkMappingEvalLeftJoin(b *testing.B) {
 	}
 }
 
-// --- E7: evolution ---
-
-func BenchmarkEvolution(b *testing.B) {
-	full := chainCase(4, 200)
-	old := full.Mapping.Clone()
-	old.Graph = full.Graph.Induced(full.Graph.Nodes()[:3])
-	old.Corrs = old.Corrs[:3]
-	oldDG, err := fd.Compute(context.Background(), old.Graph, full.Instance)
-	if err != nil {
-		b.Fatal(err)
-	}
-	oldIll, err := core.SufficientIllustration(context.Background(), old, full.Instance)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.EvolveFrom(context.Background(), oldIll, oldDG, full.Mapping, full.Instance); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEvolutionRecompute(b *testing.B) {
-	full := chainCase(4, 200)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.SufficientIllustration(context.Background(), full.Mapping, full.Instance); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- E8: discovery ---
 
 func BenchmarkDiscoveryINDs(b *testing.B) {

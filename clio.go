@@ -250,20 +250,13 @@ var (
 	EvaluateJoinQuery = core.EvaluateJoinQuery
 )
 
-// Persistence, incremental maintenance, sampling, and constraints.
+// Persistence, evolution, sampling, and constraints.
 var (
 	// UnmarshalMapping reconstructs a mapping from its JSON document
 	// (mappings marshal via their MarshalJSON method).
 	UnmarshalMapping = core.UnmarshalMapping
-	// EvolveFrom evolves an illustration reusing a cached D(G).
-	EvolveFrom = core.EvolveFrom
 	// EvolveOnDG evolves an illustration onto a precomputed D(G′).
 	EvolveOnDG = core.EvolveOnDG
-	// ExtendLeaf maintains D(G) incrementally under a leaf extension.
-	ExtendLeaf = fd.ExtendLeaf
-	// ComputeDGIncremental computes D(G′) reusing a previous D(G) when
-	// possible.
-	ComputeDGIncremental = fd.ComputeIncremental
 	// SampleRelation takes a deterministic sample of a relation.
 	SampleRelation = relation.Sample
 	// SampleInstance samples every relation of an instance.

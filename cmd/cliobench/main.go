@@ -49,7 +49,7 @@ var out io.Writer = os.Stdout
 var ctx = context.Background()
 
 func main() {
-	exp := flag.String("exp", "", "experiment to run (E1..E9); empty runs all")
+	exp := flag.String("exp", "", "experiment to run (E1..E6, E8, E10); empty runs all")
 	flag.Parse()
 	if *jsonPath != "" {
 		// Collect engine counters/histograms per experiment, and retain
@@ -64,7 +64,7 @@ func main() {
 	}
 	all := map[string]func(){
 		"E1": e1, "E2": e2, "E3": e3, "E4": e4,
-		"E5": e5, "E6": e6, "E7": e7, "E8": e8, "E9": e9,
+		"E5": e5, "E6": e6, "E8": e8,
 		"E10": e10,
 	}
 	if *exp != "" {
@@ -75,7 +75,7 @@ func main() {
 		}
 		f()
 	} else {
-		for _, k := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10"} {
+		for _, k := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E8", "E10"} {
 			all[k]()
 		}
 	}
@@ -416,36 +416,6 @@ func e6() {
 	}
 }
 
-// E7: continuous evolution vs recomputing the illustration.
-func e7() {
-	sizes := []int{100, 200, 400, 800, 1600}
-	if *quick {
-		sizes = []int{50, 100}
-	}
-	header("E7", "evolution after a walk: incremental D(G) maintenance and end-to-end illustration evolution",
-		"rows/relation", "ExtendLeaf", "recompute D(G')", "D(G) speedup", "EvolveFrom", "fresh illustr.", "continuity")
-	for _, n := range sizes {
-		full := datagen.Chain(datagen.ChainSpec{Relations: 4, Rows: n, KeySpace: n / 2, MatchProb: 0.8, Seed: 13})
-		old := full.Mapping.Clone()
-		old.Graph = full.Graph.Induced(full.Graph.Nodes()[:3])
-		old.Corrs = old.Corrs[:3]
-		oldDG, err := fd.Compute(ctx, old.Graph, full.Instance)
-		if err != nil {
-			panic(err)
-		}
-		oldIll, err := core.SufficientIllustration(ctx, old, full.Instance)
-		if err != nil {
-			panic(err)
-		}
-		tExt := measure(func() { _, _ = fd.ExtendLeaf(ctx, oldDG, old.Graph, full.Graph, full.Instance) })
-		tCmp := measure(func() { _, _ = fd.Compute(ctx, full.Graph, full.Instance) })
-		var ev core.Evolved
-		tEv := measure(func() { ev, _ = core.EvolveFrom(ctx, oldIll, oldDG, full.Mapping, full.Instance) })
-		tRe := measure(func() { _, _ = core.SufficientIllustration(ctx, full.Mapping, full.Instance) })
-		row(n, tExt, tCmp, ratio(tCmp.Median, tExt.Median), tEv, tRe, fmt.Sprintf("%.2f", ev.ContinuityRatio()))
-	}
-}
-
 // E8: discovery — IND mining and FK proposal over growing instances.
 func e8() {
 	type cfg struct{ rels, cols, rows int }
@@ -460,46 +430,6 @@ func e8() {
 		var n int
 		t := measure(func() { n = len(discovery.DiscoverINDs(ctx, in, 0.95)) })
 		row(c.rels, c.cols, c.rows, n, t)
-	}
-}
-
-// E9: a whole mapping session — growing a chain mapping one walk at a
-// time. Cached incremental D(G) (what workspaces do) vs recomputing
-// D(G) at every step.
-func e9() {
-	type cfg struct{ rels, rows int }
-	cfgs := []cfg{{4, 200}, {5, 200}, {6, 200}, {6, 400}}
-	if *quick {
-		cfgs = []cfg{{4, 50}, {5, 50}}
-	}
-	header("E9", "session cost: growing a mapping one walk at a time (cached incremental D(G) vs per-step recompute)",
-		"relations", "rows", "incremental session", "recompute session", "speedup")
-	for _, c := range cfgs {
-		full := datagen.Chain(datagen.ChainSpec{Relations: c.rels, Rows: c.rows, KeySpace: c.rows / 2, MatchProb: 0.85, Seed: 21})
-		nodes := full.Graph.Nodes()
-		tInc := measure(func() {
-			cur := full.Graph.Induced(nodes[:1])
-			dg, err := fd.Compute(ctx, cur, full.Instance)
-			if err != nil {
-				panic(err)
-			}
-			for i := 2; i <= c.rels; i++ {
-				next := full.Graph.Induced(nodes[:i])
-				dg, err = fd.ExtendLeaf(ctx, dg, cur, next, full.Instance)
-				if err != nil {
-					panic(err)
-				}
-				cur = next
-			}
-		})
-		tRe := measure(func() {
-			for i := 1; i <= c.rels; i++ {
-				if _, err := fd.Compute(ctx, full.Graph.Induced(nodes[:i]), full.Instance); err != nil {
-					panic(err)
-				}
-			}
-		})
-		row(c.rels, c.rows, tInc, tRe, ratio(tRe.Median, tInc.Median))
 	}
 }
 

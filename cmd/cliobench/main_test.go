@@ -20,7 +20,7 @@ func TestExperimentsQuick(t *testing.T) {
 	defer func() { out = old }()
 	for id, f := range map[string]func(){
 		"E1": e1, "E2": e2, "E3": e3, "E4": e4,
-		"E5": e5, "E6": e6, "E7": e7, "E8": e8, "E9": e9,
+		"E5": e5, "E6": e6, "E8": e8,
 	} {
 		b.Reset()
 		f()

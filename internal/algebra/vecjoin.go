@@ -35,6 +35,7 @@ import (
 
 	"clio/internal/budget"
 	"clio/internal/expr"
+	"clio/internal/fault"
 	"clio/internal/relation"
 	"clio/internal/value"
 )
@@ -393,23 +394,8 @@ func (it *vecJoinIter) run() {
 		buildPart(0)
 		probeWorker(0)
 	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				buildPart(w)
-			}(w)
-		}
-		wg.Wait()
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				probeWorker(w)
-			}(w)
-		}
-		wg.Wait()
+		runWorkers(workers, buildPart)
+		runWorkers(workers, probeWorker)
 	}
 
 	// Stitch morsels back in probe order.
@@ -454,6 +440,32 @@ func (it *vecJoinIter) run() {
 			if rBits[i>>6]&(1<<(uint(i)&63)) == 0 {
 				it.rPad = append(it.rPad, int32(i))
 			}
+		}
+	}
+}
+
+// runWorkers runs f(0), …, f(n-1) on n goroutines and waits for all of
+// them. A worker panic is recovered and re-raised on the calling
+// goroutine once every worker has returned, so it unwinds into the
+// caller's recovery (the serving layer answers 500 for one request)
+// instead of killing the process. The "algebra.join.worker" fault
+// point lets chaos tests panic or stall a worker; it has no error path.
+func runWorkers(n int, f func(w int)) {
+	var wg sync.WaitGroup
+	panics := make([]any, n)
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			defer func() { panics[w] = recover() }()
+			_ = fault.Inject("algebra.join.worker")
+			f(w)
+		}(w)
+	}
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
 		}
 	}
 }

@@ -52,18 +52,13 @@ func (e Evolved) ContinuityRatio() float64 {
 // Evolve computes the continuous evolution of oldIll under the new
 // mapping. The old mapping's query graph must be a subgraph of the new
 // one (node names and attributes are matched by qualified name).
+// D(G′) comes from fd.Compute, so a memoized D(G′) is reused; the
+// continuity guarantee rests on EvolveOnDG extending the old examples,
+// not on how D(G′) is built.
 func Evolve(ctx context.Context, oldIll Illustration, newM *Mapping, in *relation.Instance) (Evolved, error) {
-	return EvolveFrom(ctx, oldIll, nil, newM, in)
-}
-
-// EvolveFrom is Evolve with an optional previously computed D(G) of
-// the old mapping: when the new graph extends the old one by a single
-// leaf (the walk/chase case), D(G′) is maintained incrementally with
-// one full outer join instead of recomputed (see fd.ExtendLeaf).
-func EvolveFrom(ctx context.Context, oldIll Illustration, oldDG *relation.Relation, newM *Mapping, in *relation.Instance) (Evolved, error) {
 	ctx, span := obs.StartSpan(ctx, "core.evolve")
 	defer span.End()
-	newDG, err := fd.ComputeIncremental(ctx, oldDG, oldIll.Mapping.Graph, newM.Graph, in)
+	newDG, err := fd.Compute(ctx, newM.Graph, in)
 	if err != nil {
 		return Evolved{}, err
 	}

@@ -2,7 +2,6 @@ package fd
 
 import (
 	"context"
-	"fmt"
 
 	"clio/internal/budget"
 )
@@ -49,19 +48,4 @@ func WithBudget(ctx context.Context, b Budget) context.Context {
 func BudgetUsed(ctx context.Context) (rows, bytes int64) {
 	tr := budget.FromContext(ctx)
 	return tr.Rows(), tr.Bytes()
-}
-
-// PanicError reports a panic recovered inside an fd computation — a
-// parallel worker that died is converted into this failure instead
-// of a hang or a process crash. Serving layers map it to an internal
-// error (HTTP 500), not a semantic operator failure.
-type PanicError struct {
-	// Where locates the recovered panic (e.g. "parallel worker").
-	Where string
-	// Value is the recovered panic value.
-	Value any
-}
-
-func (e *PanicError) Error() string {
-	return fmt.Sprintf("fd: panic recovered in %s: %v", e.Where, e.Value)
 }

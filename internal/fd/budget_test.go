@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"path/filepath"
+	"runtime"
 	"testing"
 
 	"clio/internal/fault"
@@ -23,7 +25,6 @@ func TestBudgetStopsAllAlgorithms(t *testing.T) {
 		run  func(ctx context.Context) error
 	}{
 		{"FullDisjunction", func(ctx context.Context) error { _, err := FullDisjunction(ctx, g, in); return err }},
-		{"FullDisjunctionParallel", func(ctx context.Context) error { _, err := FullDisjunctionParallel(ctx, g, in); return err }},
 		{"FullDisjunctionNaive", func(ctx context.Context) error { _, err := FullDisjunctionNaive(ctx, g, in); return err }},
 		{"FullDisjunctionOuterJoin", func(ctx context.Context) error { _, err := FullDisjunctionOuterJoin(ctx, tg, tin); return err }},
 		{"Compute", func(ctx context.Context) error { _, err := Compute(ctx, g, in); return err }},
@@ -100,27 +101,38 @@ func TestBudgetAppliesToCacheHits(t *testing.T) {
 	}
 }
 
-// An injected panic inside a parallel worker must surface as a typed
-// *PanicError — one failed computation, not a crashed process or a
-// hung WaitGroup — and the next computation must succeed untouched.
+// An injected panic inside a spill-replay worker must unwind on the
+// calling goroutine — where the serving layer's recovery answers 500 —
+// rather than crash the process or hang the WaitGroup; it must release
+// the spill files, and the next computation must succeed untouched.
 func TestChaosWorkerPanicContained(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // replay fans out to ≥2 workers
 	fault.Enable(1)
 	defer fault.Disable()
 	fault.Set("fd.worker", fault.Spec{Mode: fault.ModePanic, Times: 1})
 
-	rng := rand.New(rand.NewSource(13))
-	g, in := randomCyclicCase(rng, 4, 3)
-	_, err := FullDisjunctionParallel(context.Background(), g, in)
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("worker panic not converted: err = %v", err)
+	g, in := spillDGCase(3, 8, 6, false)
+	dir := t.TempDir()
+	spilled := func() context.Context {
+		return WithBudget(context.Background(), Budget{MaxBytes: 131072, SpillDir: dir})
 	}
-	if _, ok := pe.Value.(*fault.Panic); !ok {
-		t.Errorf("recovered value %v is not the injected panic", pe.Value)
+	func() {
+		defer func() {
+			p := recover()
+			if _, ok := p.(*fault.Panic); !ok {
+				t.Fatalf("recovered %v, want the injected worker panic", p)
+			}
+		}()
+		_, _ = computeUncached(spilled(), g, in)
+	}()
+	if fault.Fired("fd.worker") != 1 {
+		t.Fatalf("fd.worker fired %d times, want 1 (did the replay run in parallel?)", fault.Fired("fd.worker"))
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "clio-spill-*.part")); len(left) != 0 {
+		t.Fatalf("worker panic left spill files: %v", left)
 	}
 	// The point is exhausted (Times: 1): the retry must succeed.
-	d, err := FullDisjunctionParallel(context.Background(), g, in)
-	if err != nil || d.Len() == 0 {
+	if _, err := computeUncached(spilled(), g, in); err != nil {
 		t.Fatalf("computation after contained panic failed: %v", err)
 	}
 }

@@ -293,10 +293,9 @@ func cacheStoreChecked(key string, g *graph.QueryGraph, in *relation.Instance, d
 
 // cacheStoreCurrent memoizes d under the key derived from the current
 // graph and relation contents — the store path for delta-maintained
-// and leaf-extended results, whose key was never computed up front.
-// The key describes exactly the state the result was derived from, so
-// re-fingerprinting here is what keeps incremental results honest in
-// the cache.
+// results, whose key was never computed up front. The key describes
+// exactly the state the result was derived from, so re-fingerprinting
+// here is what keeps maintained results honest in the cache.
 func cacheStoreCurrent(g *graph.QueryGraph, in *relation.Instance, d *relation.Relation) {
 	if key, ok := cacheKey(g, in); ok {
 		cacheStore(key, d)

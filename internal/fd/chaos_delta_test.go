@@ -2,7 +2,6 @@ package fd
 
 import (
 	"context"
-	"errors"
 	"testing"
 
 	"clio/internal/expr"
@@ -13,10 +12,9 @@ import (
 	"clio/internal/value"
 )
 
-// extendFixture builds a deterministic single-leaf extension: graph
-// {A} growing to {A—B}, with B's rows fanned out so the full join
-// charges strictly more rows than the picker's lower bound (needed to
-// provoke a mid-extension budget abort).
+// extendFixture builds a deterministic two-node case: graph {A} and
+// its extension {A—B}, with B's rows fanned out (duplicate keys and a
+// key A lacks).
 func extendFixture(t *testing.T) (gA, gAB *graph.QueryGraph, in *relation.Instance) {
 	t.Helper()
 	sch := schema.NewDatabase()
@@ -40,96 +38,6 @@ func extendFixture(t *testing.T) (gA, gAB *graph.QueryGraph, in *relation.Instan
 	gAB.MustAddNode("B", "B")
 	gAB.MustAddEdge("A", "B", expr.Equals("A.k", "B.k"))
 	return gA, gAB, in
-}
-
-// A fault injected mid-extension (worker death, transient I/O) must
-// leave no trace: ExtendLeaf publishes nothing on error, the memo
-// cache holds no entry for the new state, and ComputeIncremental falls
-// back to a full recomputation that matches a cold Compute exactly.
-func TestChaosExtendLeafFaultFallsBackToFullMode(t *testing.T) {
-	prev := SetCacheCapacity(8)
-	defer func() { SetCacheCapacity(prev); InvalidateCache() }()
-	InvalidateCache()
-	gA, gAB, in := extendFixture(t)
-	dgA, err := Compute(context.Background(), gA, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fault.Enable(1)
-	defer fault.Disable()
-	fault.Set("fd.extend_leaf", fault.Spec{Mode: fault.ModeError, Times: 1})
-
-	// Direct ExtendLeaf failure: no partial result may reach the cache.
-	key, ok := cacheKey(gAB, in)
-	if !ok {
-		t.Fatal("fixture should be cacheable")
-	}
-	if _, err := ExtendLeaf(context.Background(), dgA, gA, gAB, in); err == nil {
-		t.Fatal("armed extension should fail")
-	}
-	if fault.Fired("fd.extend_leaf") != 1 {
-		t.Fatalf("fault fired %d times, want 1", fault.Fired("fd.extend_leaf"))
-	}
-	if cachePeek(key) {
-		t.Fatal("failed extension left an entry in the memo cache")
-	}
-
-	// The point is exhausted; re-arm and go through the router: it must
-	// absorb the fault and answer via a full recomputation.
-	fault.Set("fd.extend_leaf", fault.Spec{Mode: fault.ModeError, Times: 1})
-	got, err := ComputeIncremental(context.Background(), dgA, gA, gAB, in)
-	if err != nil {
-		t.Fatalf("router did not absorb the extension fault: %v", err)
-	}
-	InvalidateCache()
-	want, err := Compute(context.Background(), gAB, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.EqualSet(want) {
-		t.Fatal("post-fault fallback differs from cold recomputation")
-	}
-	if got.String() != want.String() {
-		t.Fatal("post-fault fallback renders differently from cold recomputation")
-	}
-}
-
-// A budget exhausted mid-extension must abort the whole computation —
-// a full recomputation can only charge more — and must leave the memo
-// cache without any entry for the new state, so the next computation
-// under a fresh budget is a clean cold recompute.
-func TestChaosExtendLeafBudgetAbortLeavesNoCacheEntry(t *testing.T) {
-	prev := SetCacheCapacity(8)
-	defer func() { SetCacheCapacity(prev); InvalidateCache() }()
-	InvalidateCache()
-	gA, gAB, in := extendFixture(t)
-	dgA, err := Compute(context.Background(), gA, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The picker's lower bound is max(|D(G)|, |B|) = 6, but the full
-	// join emits 7 aligned rows, so a budget of exactly 6 admits the
-	// extension and then dies mid-drain.
-	ctx := WithBudget(context.Background(), Budget{MaxRows: 6})
-	if _, err := ComputeIncremental(ctx, dgA, gA, gAB, in); !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("mid-extension exhaustion returned %v, want budget error", err)
-	}
-	key, _ := cacheKey(gAB, in)
-	if cachePeek(key) {
-		t.Fatal("aborted extension left an entry in the memo cache")
-	}
-	got, err := ComputeIncremental(context.Background(), dgA, gA, gAB, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := FullDisjunctionNaive(context.Background(), gAB, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.EqualSet(want) {
-		t.Fatal("recovery after budget abort differs from naive reference")
-	}
 }
 
 // A fault injected at the delta-application entry must degrade

@@ -63,6 +63,8 @@ type ExplainResult struct {
 // picker's routing decision. The fresh result is stored back into the
 // cache, so an explain call warms rather than bypasses it. Root is nil
 // when instrumentation is disabled (there are no spans to retain).
+// Algo comes from the same routing function Compute uses; when it is
+// "abort" the result is returned alongside the typed budget error.
 func ExplainCompute(ctx context.Context, g *graph.QueryGraph, in *relation.Instance) (*ExplainResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -76,18 +78,16 @@ func ExplainCompute(ctx context.Context, g *graph.QueryGraph, in *relation.Insta
 			res.Cache = "miss"
 		}
 	}
-	var subsets [][]string
 	if !res.IsTree {
-		subsets = g.ConnectedSubsets()
-		res.Subsets = len(subsets)
+		res.Subsets = len(g.ConnectedSubsets())
 	}
-	estimate, err := estimateRows(g, in, res.IsTree)
+	algo, estimate, err := route(ctx, g, in)
 	if err != nil {
 		return nil, err
 	}
-	res.Algo = pickAlgo(res.IsTree, len(subsets), estimate, rowHeadroom(ctx), budget.FromContext(ctx).SpillEnabled())
-	if res.Algo == "abort" {
-		return nil, overBudget(ctx, estimate)
+	res.Algo = algo
+	if algo == "abort" {
+		return res, overBudget(ctx, estimate)
 	}
 	// Chaos hook: a delay injected here widens the window between the
 	// cache peek above and the computation below, which is how the

@@ -5,14 +5,9 @@ import (
 	"strings"
 	"testing"
 
-	"clio/internal/expr"
 	"clio/internal/fd"
-	"clio/internal/graph"
 	"clio/internal/obs"
 	"clio/internal/paperdb"
-	"clio/internal/relation"
-	"clio/internal/schema"
-	"clio/internal/value"
 )
 
 // sumOpRows walks a span tree and sums the "rows" attributes of the
@@ -99,79 +94,5 @@ func TestExplainFigure8RowsMatchExecution(t *testing.T) {
 	}
 	if res3.Cache != "hit" {
 		t.Errorf("explain did not warm the cache: %q, want hit", res3.Cache)
-	}
-}
-
-// ring4 builds a 4-node cyclic query graph (13 connected subsets, past
-// the parallel threshold) over tiny single-column relations.
-func ring4() (*graph.QueryGraph, *relation.Instance) {
-	names := []string{"A", "B", "C", "D"}
-	sch := schema.NewDatabase()
-	for _, n := range names {
-		sch.MustAddRelation(schema.NewRelation(n,
-			schema.Attribute{Name: "k", Type: value.KindInt}))
-	}
-	in := relation.NewInstance(sch)
-	for i, n := range names {
-		r := in.NewRelationFor(n)
-		r.AddValues(value.Int(int64(i % 2)))
-		in.MustAdd(r)
-	}
-	g := graph.New()
-	for _, n := range names {
-		g.MustAddNode(n, n)
-	}
-	g.MustAddEdge("A", "B", expr.Equals("A.k", "B.k"))
-	g.MustAddEdge("B", "C", expr.Equals("B.k", "C.k"))
-	g.MustAddEdge("C", "D", expr.Equals("C.k", "D.k"))
-	g.MustAddEdge("A", "D", expr.Equals("A.k", "D.k"))
-	return g, in
-}
-
-// TestParallelWorkerSpansShareTraceTree runs Compute on a cyclic graph
-// big enough to route to the parallel algorithm, under a root span
-// stamped with a trace ID, and asserts the retained trace contains the
-// worker-emitted subgraph spans in the same single tree.
-func TestParallelWorkerSpansShareTraceTree(t *testing.T) {
-	buf := obs.NewTraceBuffer(4, nil)
-	obs.SetEnabled(true)
-	obs.SetExporter(buf)
-	t.Cleanup(func() {
-		obs.SetEnabled(false)
-		obs.SetExporter(nil)
-	})
-	g, in := ring4()
-
-	id := obs.NewTraceID()
-	ctx := obs.WithTraceID(context.Background(), id)
-	ctx, span := obs.StartSpan(ctx, "test.request")
-	span.SetStr("trace_id", id)
-	if _, err := fd.Compute(ctx, g, in); err != nil {
-		t.Fatal(err)
-	}
-	span.End()
-
-	tr := buf.Get(id)
-	if tr == nil {
-		t.Fatalf("trace %s not retained; have %v", id, buf.Recent())
-	}
-	names := obs.SpanNames(tr.Root)
-	var parallel, workerSpans bool
-	for _, n := range names {
-		if strings.HasSuffix(n, "/fd.parallel") {
-			parallel = true
-		}
-		if strings.Contains(n, "/fd.parallel/") {
-			workerSpans = true
-		}
-	}
-	if !parallel {
-		t.Errorf("retained tree has no fd.parallel span: %v", names)
-	}
-	if !workerSpans {
-		t.Errorf("retained tree has no worker-emitted child spans under fd.parallel: %v", names)
-	}
-	if algo := obs.AttrMap(tr.Root.Children[0])["algo"]; algo != "subgraph_parallel" {
-		t.Errorf("algo = %v, want subgraph_parallel", algo)
 	}
 }

@@ -245,20 +245,19 @@ func FullDisjunction(ctx context.Context, g *graph.QueryGraph, in *relation.Inst
 	if !g.Connected() {
 		return nil, fmt.Errorf("fd: query graph is not connected")
 	}
-	return fullDisjunctionSubsets(ctx, g, in, g.ConnectedSubsets())
+	return fullDisjunction(ctx, g, in)
 }
 
-// fullDisjunctionSubsets is the sequential subgraph algorithm over a
-// precomputed subset enumeration (shared with Compute, which
-// enumerates once to choose between the sequential and parallel
-// variants).
-func fullDisjunctionSubsets(ctx context.Context, g *graph.QueryGraph, in *relation.Instance, subsets [][]string) (*relation.Relation, error) {
+// fullDisjunction is the subgraph algorithm without FullDisjunction's
+// argument checks; Compute routes every non-tree graph here.
+func fullDisjunction(ctx context.Context, g *graph.QueryGraph, in *relation.Instance) (*relation.Relation, error) {
 	ctx, span := obs.StartSpan(ctx, "fd.full_disjunction")
 	defer span.End()
 	s, err := Scheme(g, in)
 	if err != nil {
 		return nil, err
 	}
+	subsets := g.ConnectedSubsets()
 	span.SetInt("subsets", int64(len(subsets)))
 	cSubsets.Add(int64(len(subsets)))
 	// The columnar pipeline serves the in-memory tier; the spill tier
@@ -515,18 +514,11 @@ func FullDisjunctionOuterJoin(ctx context.Context, g *graph.QueryGraph, in *rela
 	return out, nil
 }
 
-// ParallelSubsetThreshold is the connected-subset count above which
-// Compute routes a cyclic query graph to FullDisjunctionParallel
-// rather than the sequential subgraph algorithm. Below it the
-// goroutine fan-out costs more than the per-subgraph joins save.
-const ParallelSubsetThreshold = 8
-
 // Compute computes D(G) with the best applicable algorithm: the
-// outer-join sequence for trees, subgraph enumeration otherwise —
-// parallel across CPUs when the cyclic graph has enough connected
-// subsets to amortize the fan-out. Results are memoized in the D(G)
-// cache when one is configured (see SetCacheCapacity); a cache hit
-// does not count as an fd.compute.calls computation.
+// outer-join sequence for trees, subgraph enumeration otherwise (see
+// route). Results are memoized in the D(G) cache when one is
+// configured (see SetCacheCapacity); a cache hit does not count as an
+// fd.compute.calls computation.
 func Compute(ctx context.Context, g *graph.QueryGraph, in *relation.Instance) (*relation.Relation, error) {
 	// Refuse before touching anything: computeUncached would do this
 	// check too, but a cache hit must also honor cancellation.
@@ -586,16 +578,10 @@ func computeUncached(ctx context.Context, g *graph.QueryGraph, in *relation.Inst
 	cComputeCalls.Inc()
 	start := time.Now()
 	defer hComputeNS.ObserveSince(start)
-	isTree := g.IsTree()
-	var subsets [][]string
-	if !isTree {
-		subsets = g.ConnectedSubsets()
-	}
-	estimate, err := estimateRows(g, in, isTree)
+	algo, estimate, err := route(ctx, g, in)
 	if err != nil {
 		return nil, err
 	}
-	algo := pickAlgo(isTree, len(subsets), estimate, rowHeadroom(ctx), budget.FromContext(ctx).SpillEnabled())
 	span.SetStr("algo", algo)
 	var d *relation.Relation
 	switch algo {
@@ -603,17 +589,15 @@ func computeUncached(ctx context.Context, g *graph.QueryGraph, in *relation.Inst
 		return nil, overBudget(ctx, estimate)
 	case "outer_join":
 		d, err = FullDisjunctionOuterJoin(ctx, g, in)
-	case "subgraph_parallel":
-		d, err = fullDisjunctionParallelSubsets(ctx, g, in, subsets)
 	default:
-		d, err = fullDisjunctionSubsets(ctx, g, in, subsets)
+		d, err = fullDisjunction(ctx, g, in)
 	}
 	if err != nil {
 		return nil, err
 	}
 	// Canonical render order: every algorithm sorts identically, so a
-	// memoized result, a leaf extension, and a delta-maintained
-	// SubsumeSet front all render the same bytes for the same content.
+	// memoized result and a delta-maintained SubsumeSet front render the
+	// same bytes for the same content.
 	d.SortByKey()
 	return d, nil
 }

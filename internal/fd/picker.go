@@ -1,17 +1,17 @@
 package fd
 
-// Budget-aware algorithm routing. Compute picks between the D(G)
-// algorithms using the remaining budget headroom as a cost bound: a
+// Budget-aware routing. route picks the D(G) algorithm from the graph
+// shape (outer-join chain for trees, subgraph enumeration otherwise)
+// and uses the remaining budget headroom as a cost bound: a
 // computation whose certain lower bound on charged rows already
 // exceeds the headroom is refused up front ("abort") with the same
-// typed error a doomed run would eventually hit, and a tight budget
-// demotes the parallel subgraph algorithm to the sequential one
-// (parallel workers charge concurrently, so a near-exhausted budget
-// buys less useful work per charged row).
+// typed error a doomed run would eventually hit. pickDelta routes row
+// edits of a materialized D(G) and pickSpillReplay the spill tier's
+// finalize step.
 //
 // The estimates are true lower bounds, never heuristics: abort must
 // only fire when the computation is guaranteed to exceed the budget,
-// so an unlimited or generous budget routes exactly as before.
+// so an unlimited or generous budget never changes the route.
 
 import (
 	"context"
@@ -69,6 +69,19 @@ func estimateRows(g *graph.QueryGraph, in *relation.Instance, isTree bool) (int6
 	return sum, nil
 }
 
+// route is the one D(G) routing decision: Compute runs the algorithm
+// it names and EXPLAIN reports it, so the two cannot disagree. It
+// returns "abort", "outer_join" or "subgraph" (see pickAlgo) together
+// with the lower bound an abort is reported against.
+func route(ctx context.Context, g *graph.QueryGraph, in *relation.Instance) (algo string, estimate int64, err error) {
+	isTree := g.IsTree()
+	estimate, err = estimateRows(g, in, isTree)
+	if err != nil {
+		return "", 0, err
+	}
+	return pickAlgo(isTree, estimate, rowHeadroom(ctx), budget.FromContext(ctx).SpillEnabled()), estimate, nil
+}
+
 // pickAlgo chooses the D(G) algorithm for Compute. estimate is a true
 // lower bound on the rows the computation must charge; headroom is the
 // remaining row budget (negative = unlimited); spill reports whether
@@ -81,82 +94,20 @@ func estimateRows(g *graph.QueryGraph, in *relation.Instance, isTree bool) (int6
 //     state moves to disk, and the cumulative lower bound no longer
 //     proves failure.
 //   - "outer_join": tree query graphs.
-//   - "subgraph": cyclic graphs with few connected subsets, or with a
-//     budget too tight to amortize parallel fan-out. Always the cyclic
-//     choice under spill: the parallel variant's workers charge
-//     concurrently against the resident cap and its accumulator
-//     cannot spill, so spilling runs route sequentially.
-//   - "subgraph_parallel": cyclic graphs with many subsets and enough
-//     headroom.
-func pickAlgo(isTree bool, nSubsets int, estimate, headroom int64, spill bool) string {
-	if spill {
-		if isTree {
-			return "outer_join"
-		}
-		return "subgraph"
-	}
-	if headroom >= 0 && estimate > headroom {
+//   - "subgraph": every other graph.
+//
+// Boundary convention: budget.Tracker.Charge is charge-inclusive —
+// charging exactly up to the cap succeeds and only a strict excess
+// errors — so est == headroom is exactly affordable and every refusal
+// comparison here and in pickDelta is strict.
+func pickAlgo(isTree bool, estimate, headroom int64, spill bool) string {
+	if !spill && headroom >= 0 && estimate > headroom {
 		return "abort"
 	}
 	if isTree {
 		return "outer_join"
 	}
-	if nSubsets < ParallelSubsetThreshold {
-		return "subgraph"
-	}
-	if headroom >= 0 && parallelEstimate(estimate) > headroom {
-		// Demoted: re-derive the bound for the demoted (sequential)
-		// path instead of reusing the parallel-shaped one. The
-		// sequential estimate was already accepted by the abort check
-		// above (est == headroom is exactly affordable under
-		// charge-inclusive accounting), so the demotion lands on
-		// "subgraph"; the explicit re-check keeps that decision local
-		// rather than an artifact of check ordering.
-		if estimate > headroom {
-			return "abort"
-		}
-		return "subgraph"
-	}
-	return "subgraph_parallel"
-}
-
-// parallelEstimate derives the parallel subgraph algorithm's row bound
-// from the sequential one: its workers charge concurrently against the
-// shared tracker, so the bound that must fit in headroom is double the
-// sequential lower bound (two subset drains can be resident at once
-// before the accumulator collapses them).
-func parallelEstimate(sequential int64) int64 { return sequential * 2 }
-
-// pickIncremental chooses the maintenance strategy for
-// ComputeIncremental. extendEst is a lower bound on the rows
-// ExtendLeaf must charge (every old D(G) row survives the full join),
-// recomputeEst a lower bound for a full recomputation, and headroom
-// the remaining row budget (negative = unlimited).
-//
-//   - "extend": the one-join leaf extension fits the headroom.
-//   - "full": the extension is guaranteed to bust the budget but a
-//     recomputation might not — the old D(G) can exceed the base
-//     relations after a blowup.
-//   - "abort": both bounds exceed the headroom; no recomputation can
-//     succeed. (ComputeIncremental still routes this through Compute,
-//     because a D(G) cache hit charges only the final result and may
-//     answer under budget; Compute's own abort check settles a miss.)
-//
-// Boundary convention (audited): budget.Tracker.Charge is
-// charge-inclusive — charging exactly up to the cap succeeds and only
-// a strict excess errors — so est == headroom is exactly affordable.
-// Every comparison here and in pickAlgo is therefore strict (`>` to
-// refuse, `<=` to accept): at est == headroom the extension is taken
-// and a recomputation is never spuriously aborted. The boundary tests
-// in picker_boundary_test.go pin all three branches at equality.
-func pickIncremental(extendEst, recomputeEst, headroom int64) string {
-	if headroom < 0 || extendEst <= headroom {
-		return "extend"
-	}
-	if recomputeEst > headroom {
-		return "abort"
-	}
-	return "full"
+	return "subgraph"
 }
 
 // pickDelta chooses the row-edit maintenance strategy for
@@ -165,7 +116,7 @@ func pickIncremental(extendEst, recomputeEst, headroom int64) string {
 // emits the delta tuple once), rebuildEst a lower bound for rebuilding
 // the materialized D(G) from scratch, and headroom the remaining row
 // budget (negative = unlimited). Same charge-inclusive boundary
-// convention as pickIncremental: est == headroom is affordable.
+// convention as pickAlgo: est == headroom is affordable.
 //
 //   - "delta": the O(delta) application fits the headroom.
 //   - "rebuild": the delta path is guaranteed to bust the budget but a

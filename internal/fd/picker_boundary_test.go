@@ -17,38 +17,11 @@ import (
 // either direction (refusing affordable work, or accepting doomed
 // work).
 
-func TestPickIncrementalBoundaryAtHeadroom(t *testing.T) {
-	cases := []struct {
-		name                             string
-		extendEst, recomputeEst, headroom int64
-		want                             string
-	}{
-		// est == headroom: exactly affordable, the extension is taken.
-		{"extend at equality", 10, 100, 10, "extend"},
-		// One past the headroom refuses the extension; the recompute
-		// bound at equality is still affordable.
-		{"full at recompute equality", 11, 10, 10, "full"},
-		// Both bounds strictly exceed: no computation can succeed.
-		{"abort when both exceed", 11, 11, 10, "abort"},
-		// Zero headroom still affords a zero-cost extension (empty old
-		// D(G) over an empty leaf base).
-		{"extend at zero equality", 0, 5, 0, "extend"},
-		// Unlimited budget always extends, whatever the estimates.
-		{"unlimited extends", 1 << 40, 1 << 40, -1, "extend"},
-	}
-	for _, c := range cases {
-		if got := pickIncremental(c.extendEst, c.recomputeEst, c.headroom); got != c.want {
-			t.Errorf("%s: pickIncremental(%d, %d, %d) = %q, want %q",
-				c.name, c.extendEst, c.recomputeEst, c.headroom, got, c.want)
-		}
-	}
-}
-
 func TestPickDeltaBoundaryAtHeadroom(t *testing.T) {
 	cases := []struct {
-		name                          string
+		name                           string
 		deltaEst, rebuildEst, headroom int64
-		want                          string
+		want                           string
 	}{
 		{"delta at equality", 10, 100, 10, "delta"},
 		{"rebuild at equality", 11, 10, 10, "rebuild"},
@@ -65,32 +38,18 @@ func TestPickDeltaBoundaryAtHeadroom(t *testing.T) {
 }
 
 func TestPickAlgoBoundaryAtHeadroom(t *testing.T) {
-	// estimate == headroom must not abort.
-	if got := pickAlgo(true, 0, 10, 10, false); got != "outer_join" {
+	// estimate == headroom must not abort, for either graph shape.
+	if got := pickAlgo(true, 10, 10, false); got != "outer_join" {
 		t.Errorf("tree at equality routed to %q, want outer_join", got)
 	}
-	if got := pickAlgo(true, 0, 11, 10, false); got != "abort" {
+	if got := pickAlgo(true, 11, 10, false); got != "abort" {
 		t.Errorf("tree one past headroom routed to %q, want abort", got)
 	}
-	// Parallel demotion: estimate*2 > headroom demotes; equality keeps
-	// the parallel variant.
-	if got := pickAlgo(false, ParallelSubsetThreshold, 5, 10, false); got != "subgraph_parallel" {
-		t.Errorf("cyclic at 2*est == headroom routed to %q, want subgraph_parallel", got)
+	if got := pickAlgo(false, 10, 10, false); got != "subgraph" {
+		t.Errorf("cyclic at equality routed to %q, want subgraph", got)
 	}
-	if got := pickAlgo(false, ParallelSubsetThreshold, 6, 10, false); got != "subgraph" {
-		t.Errorf("cyclic at 2*est > headroom routed to %q, want subgraph", got)
-	}
-	// Demoted-path boundary: the parallel bound (2*est = 20) exceeds the
-	// headroom so the run demotes, and the re-derived sequential bound
-	// sits exactly at the headroom — exactly affordable, so the demotion
-	// must land on "subgraph", never "abort". This pins the fix for the
-	// demotion reusing the parallel-shaped bound.
-	if got := pickAlgo(false, ParallelSubsetThreshold, 10, 10, false); got != "subgraph" {
-		t.Errorf("demoted path at est == headroom routed to %q, want subgraph", got)
-	}
-	// One past the headroom on the demoted path does abort.
-	if got := pickAlgo(false, ParallelSubsetThreshold, 11, 10, false); got != "abort" {
-		t.Errorf("demoted path one past headroom routed to %q, want abort", got)
+	if got := pickAlgo(false, 11, 10, false); got != "abort" {
+		t.Errorf("cyclic one past headroom routed to %q, want abort", got)
 	}
 }
 

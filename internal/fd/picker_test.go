@@ -5,68 +5,91 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+
+	"clio/internal/graph"
+	"clio/internal/obs"
+	"clio/internal/relation"
 )
 
 // One assertion per pickAlgo routing branch: the picker is the only
-// place Compute decides between abort, the outer-join chain, and the
-// sequential/parallel subgraph algorithms.
+// place Compute decides between abort, the outer-join chain, and
+// subgraph enumeration.
 func TestPickAlgoBranches(t *testing.T) {
-	many := ParallelSubsetThreshold // at or above: parallel-eligible
-	few := ParallelSubsetThreshold - 1
-
 	cases := []struct {
 		name     string
 		isTree   bool
-		nSubsets int
 		estimate int64
 		headroom int64
 		spill    bool
 		want     string
 	}{
-		{"abort when lower bound exceeds headroom", true, 0, 11, 10, false, "abort"},
-		{"abort applies to cyclic graphs too", false, many, 11, 10, false, "abort"},
-		{"tree routes to outer join", true, 0, 10, 10, false, "outer_join"},
-		{"tree with unlimited budget", true, 0, 1 << 40, -1, false, "outer_join"},
-		{"cyclic with few subsets stays sequential", false, few, 5, 100, false, "subgraph"},
-		{"tight budget demotes parallel to sequential", false, many, 60, 100, false, "subgraph"},
-		{"many subsets with headroom go parallel", false, many, 50, 100, false, "subgraph_parallel"},
-		{"many subsets with unlimited budget go parallel", false, many, 1 << 40, -1, false, "subgraph_parallel"},
-		{"zero estimate never aborts", false, few, 0, 0, false, "subgraph"},
+		{"abort when lower bound exceeds headroom", true, 11, 10, false, "abort"},
+		{"abort applies to cyclic graphs too", false, 11, 10, false, "abort"},
+		{"tree routes to outer join", true, 10, 10, false, "outer_join"},
+		{"tree with unlimited budget", true, 1 << 40, -1, false, "outer_join"},
+		{"cyclic routes to subgraph", false, 1 << 40, -1, false, "subgraph"},
+		{"zero estimate never aborts", false, 0, 0, false, "subgraph"},
 		// Spill mode: the cumulative lower bound no longer proves
 		// failure (charges refund as state moves to disk), so the
-		// up-front abort is off; parallel is off too (its workers and
-		// accumulator charge cumulatively).
-		{"spill never aborts a tree", true, 0, 11, 10, true, "outer_join"},
-		{"spill never aborts a cyclic graph", false, many, 11, 10, true, "subgraph"},
-		{"spill demotes parallel to sequential", false, many, 5, 1 << 40, true, "subgraph"},
+		// up-front abort is off.
+		{"spill never aborts a tree", true, 11, 10, true, "outer_join"},
+		{"spill never aborts a cyclic graph", false, 11, 10, true, "subgraph"},
 	}
 	for _, c := range cases {
-		if got := pickAlgo(c.isTree, c.nSubsets, c.estimate, c.headroom, c.spill); got != c.want {
-			t.Errorf("%s: pickAlgo(%v, %d, %d, %d, %v) = %q, want %q",
-				c.name, c.isTree, c.nSubsets, c.estimate, c.headroom, c.spill, got, c.want)
+		if got := pickAlgo(c.isTree, c.estimate, c.headroom, c.spill); got != c.want {
+			t.Errorf("%s: pickAlgo(%v, %d, %d, %v) = %q, want %q",
+				c.name, c.isTree, c.estimate, c.headroom, c.spill, got, c.want)
 		}
 	}
 }
 
-// One assertion per pickIncremental branch: leaf extension when it
-// fits, full recomputation when only the extension is doomed, abort
-// when both bounds bust the budget.
-func TestPickIncrementalBranches(t *testing.T) {
+// EXPLAIN reports the algorithm Compute runs: for a tree, a cycle and
+// a doomed budget, ExplainCompute's Algo equals the algo attribute of
+// the fd.compute span a traced Compute emits.
+func TestExplainAlgoMatchesComputeSpan(t *testing.T) {
+	wasEnabled := obs.Enabled()
+	obs.SetEnabled(true)
+	col := &obs.CollectExporter{}
+	obs.SetExporter(col)
+	prev := SetCacheCapacity(0)
+	defer func() {
+		SetCacheCapacity(prev)
+		obs.SetExporter(nil)
+		obs.SetEnabled(wasEnabled)
+	}()
+
+	rng := rand.New(rand.NewSource(23))
+	tg, tin := randomTreeCase(rng, 3, 4)
+	cg, cin := smallTriangle()
 	cases := []struct {
-		name                 string
-		extendEst, recompute int64
-		headroom             int64
-		want                 string
+		name    string
+		g       *graph.QueryGraph
+		in      *relation.Instance
+		maxRows int64
+		want    string
 	}{
-		{"unlimited budget extends", 1 << 40, 1 << 40, -1, "extend"},
-		{"extension within headroom extends", 10, 50, 10, "extend"},
-		{"doomed extension falls back to full", 20, 10, 10, "full"},
-		{"both doomed abort", 20, 11, 10, "abort"},
+		{"tree", tg, tin, 0, "outer_join"},
+		{"cycle", cg, cin, 0, "subgraph"},
+		{"doomed budget", cg, cin, 1, "abort"},
 	}
 	for _, c := range cases {
-		if got := pickIncremental(c.extendEst, c.recompute, c.headroom); got != c.want {
-			t.Errorf("%s: pickIncremental(%d, %d, %d) = %q, want %q",
-				c.name, c.extendEst, c.recompute, c.headroom, got, c.want)
+		col.Reset()
+		_, cerr := Compute(WithBudget(context.Background(), Budget{MaxRows: c.maxRows}), c.g, c.in)
+		var spanAlgo any
+		for _, root := range col.Roots() {
+			if root.Name == "fd.compute" {
+				spanAlgo = obs.AttrMap(root)["algo"]
+			}
+		}
+		res, eerr := ExplainCompute(WithBudget(context.Background(), Budget{MaxRows: c.maxRows}), c.g, c.in)
+		if (cerr == nil) != (eerr == nil) {
+			t.Fatalf("%s: Compute err %v, ExplainCompute err %v", c.name, cerr, eerr)
+		}
+		if res == nil {
+			t.Fatalf("%s: ExplainCompute returned no result (err %v)", c.name, eerr)
+		}
+		if res.Algo != c.want || spanAlgo != res.Algo {
+			t.Errorf("%s: explain algo %q, fd.compute span algo %v, want both %q", c.name, res.Algo, spanAlgo, c.want)
 		}
 	}
 }

@@ -209,8 +209,8 @@ type PlannerBlock struct {
 }
 
 // planRecorder collects the join orders chosen during one computation.
-// Safe for concurrent use — the parallel subgraph algorithm plans
-// subsets from worker goroutines.
+// Safe for concurrent use, since callers may share one context across
+// goroutines.
 type planRecorder struct {
 	mu     sync.Mutex
 	orders []PlannerOrder

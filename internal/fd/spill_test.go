@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"clio/internal/budget"
@@ -115,12 +116,37 @@ func TestBudgetSpillChainDGByteIdentical(t *testing.T) {
 	spillDGDifferential(t, g, in, 131072)
 }
 
-// The same guarantee on a cyclic graph, where the picker must choose
-// sequential subgraph enumeration and the dgAccum spill sink dedups
-// partition by partition before global subsumption.
+// The same guarantee on a cyclic graph, where Compute routes to
+// subgraph enumeration and the dgAccum spill sink dedups partition by
+// partition before global subsumption.
 func TestBudgetSpillCyclicDGByteIdentical(t *testing.T) {
 	g, in := spillDGCase(3, 8, 6, false)
 	spillDGDifferential(t, g, in, 131072)
+}
+
+// The spill tier's finalize replay fans the partitions out to parallel
+// workers when they fit the cap; the serial replay must produce the
+// same bytes. GOMAXPROCS pins the fan-out (1 forces the serial replay),
+// and a zero-delay fd.worker fault counts the workers that ran.
+func TestParallelMatchesSequential(t *testing.T) {
+	g, in := spillDGCase(3, 8, 6, false)
+	fault.Enable(1)
+	defer fault.Disable()
+	replay := func(procs int) (*relation.Relation, int) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		fault.Set("fd.worker", fault.Spec{Mode: fault.ModeDelay})
+		d, err := computeUncached(WithBudget(context.Background(), Budget{MaxBytes: 131072, SpillDir: t.TempDir()}), g, in)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		return d, fault.Fired("fd.worker")
+	}
+	seq, seqWorkers := replay(1)
+	par, parWorkers := replay(2)
+	if seqWorkers != 0 || parWorkers < 2 {
+		t.Fatalf("replay workers: %d serial, %d parallel; want 0 and at least 2", seqWorkers, parWorkers)
+	}
+	requireSameDG(t, par, seq)
 }
 
 // A spill-file fault mid-computation must degrade to a typed abort —

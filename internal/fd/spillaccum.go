@@ -43,6 +43,7 @@ import (
 	"sync"
 
 	"clio/internal/budget"
+	"clio/internal/fault"
 	"clio/internal/relation"
 	"clio/internal/spill"
 )
@@ -308,13 +309,25 @@ func (a *dgAccum) replayParallel(global *relation.SubsumeSet, w int) error {
 	ctx, cancel := context.WithCancel(a.ctx)
 	defer cancel()
 	shards := make([]dgShard, w)
+	panics := make([]any, w)
 	var wg sync.WaitGroup
 	for i := 0; i < w; i++ {
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					panics[wi] = p
+					cancel()
+				}
+			}()
 			sh := &shards[wi]
 			sh.set = relation.NewSubsumeSet(a.s)
+			if err := fault.Inject("fd.worker"); err != nil {
+				sh.err = err
+				cancel()
+				return
+			}
 			for p := wi; p < a.parts.N(); p += w {
 				if err := a.replayPartition(ctx, a.parts, p, sh.set, &sh.rows, &sh.bytes); err != nil {
 					sh.err = err
@@ -325,6 +338,17 @@ func (a *dgAccum) replayParallel(global *relation.SubsumeSet, w int) error {
 		}(i)
 	}
 	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			// Re-raise on the calling goroutine, where the serving layer's
+			// recovery answers 500, after releasing the charges and files.
+			for i := range shards {
+				a.tr.Refund(shards[i].rows, shards[i].bytes)
+			}
+			a.abort()
+			panic(p)
+		}
+	}
 	var budgetErr, otherErr error
 	for i := range shards {
 		switch err := shards[i].err; {

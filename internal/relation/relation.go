@@ -247,9 +247,9 @@ func (r *Relation) Clone() *Relation {
 }
 
 // SortByKey sorts the relation's tuples in place by canonical key.
-// Every D(G) producer (any algorithm, leaf extension, delta
-// maintenance) sorts its result this way, so live, replayed, and
-// delta-maintained sessions render byte-identical views.
+// Every D(G) producer (any algorithm, delta maintenance) sorts its
+// result this way, so live, replayed, and delta-maintained sessions
+// render byte-identical views.
 //
 // All keys are appended into one shared buffer and compared as byte
 // spans, so the sort performs O(1) allocations instead of one key

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -255,22 +254,4 @@ func TestChaosPanicIsolation(t *testing.T) {
 	}
 	mustCall(t, ts, "GET", "/api/sessions/"+victim+"/examples", nil)
 	mustCall(t, ts, "GET", "/api/sessions/"+bystander+"/examples", nil)
-}
-
-// A *fd.PanicError surfacing as an operator error (a parallel worker
-// died and was contained inside fd) maps to 500, not 422: the worker
-// panic is an internal fault, not a semantic refusal.
-func TestWorkerPanicErrorMapsTo500(t *testing.T) {
-	s, _ := newTestServer(t, Config{})
-	h := s.handle("boom", func(ctx context.Context, r *http.Request) (any, error) {
-		return nil, opError(&fd.PanicError{Where: "parallel worker", Value: "injected"})
-	})
-	rec := httptest.NewRecorder()
-	h(rec, httptest.NewRequest("GET", "/api/test", nil))
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("PanicError mapped to %d, want 500", rec.Code)
-	}
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Errorf("Content-Type %q, want application/json", ct)
-	}
 }

@@ -419,20 +419,15 @@ func notFound(format string, args ...any) error {
 	return &httpError{http.StatusNotFound, fmt.Sprintf(format, args...)}
 }
 
-// opError classifies a mapping-operator failure: context errors,
-// budget violations, and recovered worker panics pass through (they
-// become 504/499, 413, and 500 respectively); anything else is a
-// semantic failure of the requested operation — the server is fine,
-// the operator could not apply — reported as 422.
+// opError classifies a mapping-operator failure: context errors and
+// budget violations pass through (they become 504/499 and 413); anything
+// else is a semantic failure of the requested operation — the server is
+// fine, the operator could not apply — reported as 422.
 func opError(err error) error {
 	if err == nil ||
 		errors.Is(err, context.DeadlineExceeded) ||
 		errors.Is(err, context.Canceled) ||
 		errors.Is(err, fd.ErrBudgetExceeded) {
-		return err
-	}
-	var pe *fd.PanicError
-	if errors.As(err, &pe) {
 		return err
 	}
 	var he *httpError

@@ -36,13 +36,12 @@ type ToolState struct {
 
 // WorkspaceState serializes one workspace. The mapping uses the stable
 // core mapping JSON document. The cached D(G) is carried verbatim: it
-// is maintained incrementally across walk/chase steps and row edits
-// (fd.MaintainRows keeps the active workspace's D(G) continuously
-// current), so carrying it avoids a recomputation on restore. The
-// delta-maintainable form (Workspace.dgm) is NOT serialized: the first
-// edit after a restore rebuilds it, and because Materialized.Rel() is
-// canonical (key-sorted) the restored session still renders the same
-// view byte for byte.
+// is maintained across row edits (fd.MaintainRows keeps the active
+// workspace's D(G) continuously current), so carrying it avoids a
+// recomputation on restore. The delta-maintainable form
+// (Workspace.dgm) is NOT serialized: the first edit after a restore
+// rebuilds it, and because Materialized.Rel() is canonical (key-sorted)
+// the restored session still renders the same view byte for byte.
 type WorkspaceState struct {
 	ID           int               `json:"id"`
 	Mapping      json.RawMessage   `json:"mapping"`

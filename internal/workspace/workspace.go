@@ -36,9 +36,8 @@ type Workspace struct {
 	// Rank is the position the generating operator assigned (0 is the
 	// most likely alternative).
 	Rank int
-	// dg caches the mapping's D(G); maintained incrementally across
-	// walk/chase steps (fd.ExtendLeaf) and row edits (fd.MaintainRows),
-	// and reused by TargetView.
+	// dg caches the mapping's D(G): built by fd.Compute, maintained
+	// across row edits (fd.MaintainRows), and reused by TargetView.
 	dg *relation.Relation
 	// dgm is the delta-maintainable form of dg (full subsumption state,
 	// not just the maximal front), built lazily on the first row edit
@@ -133,14 +132,16 @@ func (t *Tool) Accepted() []*core.Mapping {
 
 // newWorkspace wraps a mapping, computing its illustration: evolved
 // from the previous active illustration when one exists (continuity,
-// Section 5.3), otherwise a fresh sufficient illustration. The
-// previous workspace's cached D(G) seeds incremental maintenance.
+// Section 5.3), otherwise a fresh sufficient illustration.
 func (t *Tool) newWorkspace(ctx context.Context, m *core.Mapping, note string, rank int) (*Workspace, error) {
 	ctx, span := obs.StartSpan(ctx, "workspace.new_workspace")
 	defer span.End()
 	span.SetStr("mapping", m.Name)
-	dg, err := t.dgFor(ctx, m)
-	if err != nil {
+	var dg *relation.Relation
+	var err error
+	if m.Graph.NodeCount() == 0 {
+		dg = relation.New("D(G)", relation.NewScheme())
+	} else if dg, err = fd.Compute(ctx, m.Graph, t.Instance); err != nil {
 		return nil, err
 	}
 	var il core.Illustration
@@ -166,18 +167,6 @@ func (t *Tool) newWorkspace(ctx context.Context, m *core.Mapping, note string, r
 	w := &Workspace{ID: t.nextID, Mapping: m, Illustration: il, Note: note, Rank: rank, dg: dg}
 	t.nextID++
 	return w, nil
-}
-
-// dgFor computes a mapping's D(G), incrementally from the active
-// workspace's cache when the graph is a single-leaf extension.
-func (t *Tool) dgFor(ctx context.Context, m *core.Mapping) (*relation.Relation, error) {
-	if m.Graph.NodeCount() == 0 {
-		return relation.New("D(G)", relation.NewScheme()), nil
-	}
-	if prev := t.activeLocked(); prev != nil && prev.dg != nil && prev.Mapping.Graph.NodeCount() > 0 {
-		return fd.ComputeIncremental(ctx, prev.dg, prev.Mapping.Graph, m.Graph, t.Instance)
-	}
-	return fd.Compute(ctx, m.Graph, t.Instance)
 }
 
 // pushHistory remembers the current state for Undo. History is capped
@@ -446,15 +435,22 @@ func (t *Tool) ApplyRows(ctx context.Context, relName string, vals []value.Value
 }
 
 // maintainRowsLocked propagates one already-applied row edit into the
-// active workspace's materialized D(G) and illustration. Non-active
-// workspaces just drop their caches (losing a cache is safe; keeping a
-// stale one is not).
+// active workspace's materialized D(G) and illustration. Every other
+// workspace drops its caches (losing a cache is safe; keeping a stale
+// one is not), including those only the undo history still holds:
+// Undo restores them as they are.
 func (t *Tool) maintainRowsLocked(ctx context.Context, base string, tup relation.Tuple, del bool) error {
 	act := t.activeLocked()
-	for _, w := range t.workspaces {
-		if w != act {
-			w.dg, w.dgm = nil, nil
+	drop := func(ws []*Workspace) {
+		for _, w := range ws {
+			if w != act {
+				w.dg, w.dgm = nil, nil
+			}
 		}
+	}
+	drop(t.workspaces)
+	for _, snap := range t.history {
+		drop(snap.workspaces)
 	}
 	if act == nil || act.Mapping.Graph.NodeCount() == 0 || !fd.GraphReadsBase(act.Mapping.Graph, base) {
 		// Nothing to maintain: no active mapping, or its graph never

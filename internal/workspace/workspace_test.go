@@ -579,10 +579,60 @@ func TestUndo(t *testing.T) {
 	if len(tl.Accepted()) != 0 {
 		t.Error("undo should retract acceptance")
 	}
+
+	// Undo after a row edit: the restored workspace must not bring back
+	// a D(G) cached before the edit. Filter, insert a child, undo the
+	// filter: the view must match a fresh tool's over the edited
+	// instance, and a following walk (memo cache on) must build the
+	// true D(G′).
+	ctx := context.Background()
+	prev := fd.SetCacheCapacity(8)
+	defer func() { fd.SetCacheCapacity(prev); fd.InvalidateCache() }()
+	tl = newTool(t)
+	_ = tl.Start("m")
+	if err := tl.AddCorrespondence(ctx, core.Identity("Children.ID", schema.Col("Kids", "ID"))); err != nil {
+		t.Fatal(err)
+	}
+	if err := tl.AddSourceFilter(ctx, expr.MustParse("Children.age < 7")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tl.ApplyRows(ctx, "Children", rowVals("012", "Nina", "8", "100", "101", "d3"), false); err != nil {
+		t.Fatal(err)
+	}
+	if err := tl.Undo(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := tl.TargetView(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := New(ctx, tl.Instance, paperdb.Kids(), false)
+	_ = fresh.Start("m")
+	if err := fresh.AddCorrespondence(ctx, core.Identity("Children.ID", schema.Col("Kids", "ID"))); err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.TargetView(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() != 5 || !got.EqualSet(want) {
+		t.Fatalf("view after undo has %d rows, fresh tool %d (want 5):\n%v", got.Len(), want.Len(), got)
+	}
+	if err := tl.Walk(ctx, "Children", "Parents"); err != nil {
+		t.Fatal(err)
+	}
+	w := tl.Active()
+	naive, err := fd.FullDisjunctionNaive(ctx, w.Mapping.Graph, tl.Instance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !w.dg.EqualSet(naive) {
+		t.Fatalf("walk after undo built a D(G) of %d rows, naive reference %d", w.dg.Len(), naive.Len())
+	}
 }
 
 func TestWorkspaceDGCacheConsistency(t *testing.T) {
-	// The cached D(G) maintained incrementally across operators must
+	// The cached D(G) carried across operators and row edits must
 	// always equal a from-scratch computation.
 	tl := newTool(t)
 	_ = tl.Start("m")
