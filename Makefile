@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet staticcheck check bench bench-core bench-diff bench-smoke bench-serve-smoke demo serve-smoke chaos
+.PHONY: build test race vet fmt staticcheck check bench bench-core bench-diff bench-smoke bench-serve-smoke demo serve-smoke chaos
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,17 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails, listing the files, when any Go file under the repository
+# root (servebench included) is not gofmt-formatted. It changes
+# nothing; run `gofmt -w` on the files it names.
+fmt:
+	@out=$$(gofmt -l .); \
+	if [ -n "$$out" ]; then \
+		echo "gofmt -l reports unformatted files:"; \
+		echo "$$out"; \
+		exit 1; \
+	fi
 
 # staticcheck runs honest-to-goodness staticcheck when the binary is
 # on PATH and is a no-op otherwise, so `make check` works on machines
@@ -36,11 +47,11 @@ serve-smoke:
 chaos:
 	CLIO_CHAOS_SEED=1 $(GO) test -race -run 'Chaos|Journal|Budget|Mode|Prob' ./internal/fault ./internal/fd ./internal/workspace ./internal/serve ./internal/csvio ./internal/discovery ./internal/spill ./internal/algebra ./internal/budget
 
-# check is the tier-1 verification gate: vet, staticcheck (when
+# check is the tier-1 verification gate: gofmt, vet, staticcheck (when
 # installed), build, tests, race tests, the chaos suite, the serve
 # smoke test, a one-iteration pass over the execution-core benchmark
 # workloads, and the serve benchmark's smoke tests.
-check: vet staticcheck build test race chaos serve-smoke bench-smoke bench-serve-smoke
+check: fmt vet staticcheck build test race chaos serve-smoke bench-smoke bench-serve-smoke
 
 bench:
 	$(GO) run ./cmd/cliobench -quick

@@ -437,12 +437,28 @@ func (c *childSets) close() {
 	}
 }
 
-// prefetched is one pair load completed by the prefetch worker.
+// prefetched is one pair load completed by the prefetch worker. A
+// panic in the worker arrives as panicked, with rows and bytes the
+// charges it left outstanding; the consumer refunds them and re-raises
+// the panic on its own goroutine.
 type prefetched struct {
 	task        pairTask
 	lrel, rrel  *relation.Relation
 	rows, bytes int64
 	err         error
+	panicked    any
+}
+
+// receivePrefetch takes the in-flight prefetch result, refunding the
+// charges of a worker that panicked and re-raising its panic.
+func (it *graceJoinIter) receivePrefetch() prefetched {
+	p := <-it.pch
+	it.inflight = false
+	if p.panicked != nil {
+		it.tr.Refund(p.rows, p.bytes)
+		panic(p.panicked)
+	}
+	return p
 }
 
 // errPrefetchMiss marks a prefetch load the headroom charge refused —
@@ -503,10 +519,12 @@ func (it *graceJoinIter) Close() {
 	if it.pcancel != nil {
 		it.pcancel()
 	}
+	var panicked any
 	if it.inflight {
 		p := <-it.pch
 		it.tr.Refund(p.rows, p.bytes)
 		it.inflight = false
+		panicked = p.panicked
 	}
 	if it.inner != nil {
 		it.inner.Close()
@@ -520,6 +538,9 @@ func (it *graceJoinIter) Close() {
 	it.left.close(it.tr)
 	it.right.close(it.tr)
 	it.op.close()
+	if panicked != nil {
+		panic(panicked)
+	}
 }
 
 func (it *graceJoinIter) Next() ([]relation.Tuple, error) {
@@ -615,8 +636,7 @@ func (it *graceJoinIter) reclaimPrefetch() {
 	if !it.inflight {
 		return
 	}
-	p := <-it.pch
-	it.inflight = false
+	p := it.receivePrefetch()
 	it.tr.Refund(p.rows, p.bytes)
 	it.queue = append([]pairTask{p.task}, it.queue...)
 }
@@ -632,8 +652,7 @@ func (it *graceJoinIter) nextPair() (*relation.Relation, *relation.Relation, boo
 		var err error
 		fromPrefetch := false
 		if it.inflight {
-			p := <-it.pch
-			it.inflight = false
+			p := it.receivePrefetch()
 			task, lrel, rrel, rows, bytes, err = p.task, p.lrel, p.rrel, p.rows, p.bytes, p.err
 			fromPrefetch = err == nil
 			if cerr := it.ctx.Err(); cerr != nil {
@@ -701,7 +720,8 @@ func (it *graceJoinIter) loadPairSerial(task pairTask) (*relation.Relation, *rel
 // startPrefetch hands the queue head to the worker goroutine. The
 // worker charges through ChargeHeadroom so it can never consume the
 // slack the foreground join needs for its own output batches, and
-// always sends exactly one result (Close drains it).
+// always sends exactly one result (Close drains it), also when it
+// panics: the panic travels in the result to the consuming goroutine.
 func (it *graceJoinIter) startPrefetch() {
 	if it.inflight || len(it.queue) == 0 {
 		return
@@ -710,6 +730,14 @@ func (it *graceJoinIter) startPrefetch() {
 	it.queue = it.queue[1:]
 	it.inflight = true
 	go func() {
+		// The worker's outstanding charges, for the panic path, where
+		// load's own refunds never run.
+		var chargedRows, chargedBytes int64
+		defer func() {
+			if r := recover(); r != nil {
+				it.pch <- prefetched{task: task, rows: chargedRows, bytes: chargedBytes, panicked: r}
+			}
+		}()
 		if err := fault.Inject("spill.prefetch"); err != nil {
 			it.pch <- prefetched{task: task, err: spill.Fail("prefetch", err)}
 			return
@@ -718,6 +746,8 @@ func (it *graceJoinIter) startPrefetch() {
 			if !it.tr.ChargeHeadroom(rows, bytes, it.slackRows, it.slackBytes) {
 				return errPrefetchMiss
 			}
+			chargedRows += rows
+			chargedBytes += bytes
 			return nil
 		}
 		lrel, lr, lb, err := task.l.load(it.tr, charge, it.pctx)

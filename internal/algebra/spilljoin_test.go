@@ -415,3 +415,34 @@ func TestChaosSpillJoinPrefetchFaultTypedAbort(t *testing.T) {
 		t.Fatalf("prefetch fault left partition files: %v", left)
 	}
 }
+
+// A prefetch worker that panicked hands its panic and its outstanding
+// charges to the consumer: taking the result (nextPair and
+// reclaimPrefetch) refunds the charges and re-raises the panic, and so
+// does Close, after its cleanup, when the result was never taken.
+func TestPrefetchPanicRefundsThenReraises(t *testing.T) {
+	for _, viaClose := range []bool{false, true} {
+		tr := budget.NewTracker(budget.Budget{MaxBytes: 1 << 20})
+		if err := tr.Charge(5, 500); err != nil {
+			t.Fatal(err)
+		}
+		it := &graceJoinIter{tr: tr, pch: make(chan prefetched, 1), inflight: true}
+		it.pch <- prefetched{rows: 5, bytes: 500, panicked: "boom"}
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			if viaClose {
+				it.Close()
+			} else {
+				it.receivePrefetch()
+			}
+			return nil
+		}()
+		if got != "boom" {
+			t.Errorf("close=%v: recovered %v, want the worker's panic", viaClose, got)
+		}
+		if tr.Rows() != 0 || tr.Bytes() != 0 || it.inflight {
+			t.Errorf("close=%v: rows=%d bytes=%d inflight=%v after the re-raise, want all clear",
+				viaClose, tr.Rows(), tr.Bytes(), it.inflight)
+		}
+	}
+}

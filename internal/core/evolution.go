@@ -96,23 +96,21 @@ func EvolveOnDG(ctx context.Context, oldIll Illustration, newM *Mapping, in *rel
 		return Evolved{}, err
 	}
 
-	// Index old examples by their data association key; new
-	// associations are matched by projecting onto the old scheme via
-	// precomputed positions (KeyOn produces the same encoding as Key).
-	oldByKey := map[string]int{}
-	for i, e := range oldIll.Examples {
-		oldByKey[e.Assoc.Key()] = i
-	}
-	extended := make([]bool, len(oldIll.Examples))
-
-	out := Evolved{Illustration: Illustration{Mapping: newM}, Old: len(oldIll.Examples)}
-	chosen := make([]bool, len(full.Examples))
+	// Match each new association to the old example whose association
+	// equals its projection onto the old scheme: old associations bucket
+	// on Hash64, new ones probe with HashOn over the old attributes'
+	// positions, and EqualOn confirms a candidate.
 	var projPos []int
 	if len(full.Examples) > 0 {
 		projPos = full.Examples[0].Assoc.Scheme().Positions(oldScheme.Names()...)
 	}
+	old := newAssocIndex(oldIll.Examples, len(projPos))
+	extended := make([]bool, len(oldIll.Examples))
+
+	out := Evolved{Illustration: Illustration{Mapping: newM}, Old: len(oldIll.Examples)}
+	chosen := make([]bool, len(full.Examples))
 	for i, e := range full.Examples {
-		if j, ok := oldByKey[e.Assoc.KeyOn(projPos)]; ok {
+		if j, ok := old.find(e.Assoc, projPos); ok {
 			extended[j] = true
 			inherited := e
 			inherited.Inherited = true
@@ -128,51 +126,52 @@ func EvolveOnDG(ctx context.Context, oldIll Illustration, newM *Mapping, in *rel
 
 	// Top up to sufficiency with fresh examples: greedy cover over the
 	// requirements not yet covered by the inherited examples.
-	reqs, covers := requirementsOf(newM, full.Examples)
-	covered := map[string]bool{}
-	for i := range full.Examples {
-		if chosen[i] {
-			for _, k := range covers[i] {
-				covered[k] = true
-			}
+	reqs := indexRequirements(newM, full.Examples)
+	for i, c := range chosen {
+		if c {
+			reqs.meet(reqs.covers(i))
 		}
 	}
-	uncovered := 0
-	for k := range reqs {
-		if !covered[k] {
-			uncovered++
-		}
-	}
-	for uncovered > 0 {
-		best, bestGain := -1, 0
-		for i := range full.Examples {
-			if chosen[i] {
-				continue
-			}
-			gain := 0
-			for _, k := range covers[i] {
-				if !covered[k] {
-					gain++
-				}
-			}
-			if gain > bestGain {
-				best, bestGain = i, gain
-			}
-		}
-		if best < 0 {
-			break
-		}
-		chosen[best] = true
-		out.Examples = append(out.Examples, full.Examples[best])
+	reqs.cover(chosen, func(i int) {
+		out.Examples = append(out.Examples, full.Examples[i])
 		out.Fresh++
-		for _, k := range covers[best] {
-			if !covered[k] {
-				covered[k] = true
-				uncovered--
-			}
-		}
-	}
+	})
 	cEvolveFresh.Add(int64(out.Fresh))
 	span.SetInt("examples", int64(len(out.Examples)))
 	return out, nil
+}
+
+// assocIndex finds old examples by data association: example indexes
+// in buckets keyed by the association's Hash64.
+type assocIndex struct {
+	examples []Example
+	ident    []int // positions 0..arity-1 of an old association
+	buckets  map[uint64][]int32
+}
+
+// newAssocIndex indexes the old examples whose associations have the
+// given arity; a projection onto that many attributes equals no other.
+func newAssocIndex(examples []Example, arity int) *assocIndex {
+	x := &assocIndex{examples: examples, ident: make([]int, arity), buckets: make(map[uint64][]int32, len(examples))}
+	for i := range x.ident {
+		x.ident[i] = i
+	}
+	for i, e := range examples {
+		if e.Assoc.Scheme().Arity() == arity {
+			h := e.Assoc.Hash64()
+			x.buckets[h] = append(x.buckets[h], int32(i))
+		}
+	}
+	return x
+}
+
+// find returns the index of the first old example whose association
+// equals t projected onto pos.
+func (x *assocIndex) find(t relation.Tuple, pos []int) (int, bool) {
+	for _, i := range x.buckets[t.HashOn(pos)] {
+		if t.EqualOn(x.examples[i].Assoc, pos, x.ident) {
+			return int(i), true
+		}
+	}
+	return 0, false
 }

@@ -70,54 +70,14 @@ func ExamplesOn(ctx context.Context, m *Mapping, in *relation.Instance, dg *rela
 	if err != nil {
 		return Illustration{}, err
 	}
+	c := compile(m, dg.Scheme())
 	il := Illustration{Mapping: m, Examples: make([]Example, 0, dg.Len())}
 	for i, d := range dg.Tuples() {
-		t := m.Transform(d)
-		pos := m.SatisfiesSourceFilters(d) && m.SatisfiesTargetFilters(t)
+		t := c.transform(d)
+		pos := satisfies(c.src, d) && satisfies(c.tgt, t)
 		il.Examples = append(il.Examples, Example{Assoc: d, Target: t, Positive: pos, Coverage: covs[i]})
 	}
 	return il, nil
-}
-
-// Requirement identifiers (see requirementsOf): what a sufficient
-// illustration must demonstrate, per Definitions 4.2, 4.4, and 4.5.
-const (
-	reqGraph       = "G"  // some example with this coverage
-	reqFilterPos   = "F+" // a positive example with this coverage
-	reqFilterNeg   = "F-" // a negative example with this coverage
-	reqCorrNonNull = "V+" // positive example, target attr non-null
-	reqCorrNull    = "V0" // positive example, target attr null
-)
-
-// requirementsOf derives, from the complete example set, the
-// requirement keys a sufficient illustration must cover, and for each
-// example the set of keys it covers. A requirement exists only if some
-// example satisfies it ("if there exists ... then I contains ...").
-func requirementsOf(m *Mapping, all []Example) (reqs map[string]bool, covers [][]string) {
-	reqs = map[string]bool{}
-	covers = make([][]string, len(all))
-	ts := m.TargetScheme()
-	for i, e := range all {
-		ck := e.CoverageKey()
-		ks := []string{reqGraph + "|" + ck}
-		if e.Positive {
-			ks = append(ks, reqFilterPos+"|"+ck)
-			for _, attr := range ts.Names() {
-				if e.Target.Get(attr).IsNull() {
-					ks = append(ks, reqCorrNull+"|"+ck+"|"+attr)
-				} else {
-					ks = append(ks, reqCorrNonNull+"|"+ck+"|"+attr)
-				}
-			}
-		} else {
-			ks = append(ks, reqFilterNeg+"|"+ck)
-		}
-		covers[i] = ks
-		for _, k := range ks {
-			reqs[k] = true
-		}
-	}
-	return reqs, covers
 }
 
 // SufficientIllustration selects a small illustration that is
@@ -144,40 +104,12 @@ func SufficientIllustration(ctx context.Context, m *Mapping, in *relation.Instan
 func SelectSufficient(ctx context.Context, m *Mapping, full Illustration) Illustration {
 	_, span := obs.StartSpan(ctx, "core.select_sufficient")
 	defer span.End()
-	reqs, covers := requirementsOf(m, full.Examples)
-	span.SetInt("requirements", int64(len(reqs)))
-	uncovered := len(reqs)
-	covered := map[string]bool{}
-	chosen := make([]bool, len(full.Examples))
+	reqs := indexRequirements(m, full.Examples)
+	span.SetInt("requirements", int64(reqs.open))
 	out := Illustration{Mapping: m}
-	for uncovered > 0 {
-		best, bestGain := -1, 0
-		for i := range full.Examples {
-			if chosen[i] {
-				continue
-			}
-			gain := 0
-			for _, k := range covers[i] {
-				if !covered[k] {
-					gain++
-				}
-			}
-			if gain > bestGain {
-				best, bestGain = i, gain
-			}
-		}
-		if best < 0 {
-			break // unreachable: every requirement is witnessed by construction
-		}
-		chosen[best] = true
-		out.Examples = append(out.Examples, full.Examples[best])
-		for _, k := range covers[best] {
-			if !covered[k] {
-				covered[k] = true
-				uncovered--
-			}
-		}
-	}
+	reqs.cover(make([]bool, len(full.Examples)), func(i int) {
+		out.Examples = append(out.Examples, full.Examples[i])
+	})
 	span.SetInt("chosen", int64(len(out.Examples)))
 	cExamplesChosen.Add(int64(len(out.Examples)))
 	return out
@@ -192,18 +124,16 @@ func (il Illustration) MissingRequirements(in *relation.Instance) ([]string, err
 	if err != nil {
 		return nil, err
 	}
-	reqs, _ := requirementsOf(il.Mapping, full.Examples)
-	_, haveCovers := requirementsOf(il.Mapping, il.Examples)
-	covered := map[string]bool{}
-	for _, ks := range haveCovers {
-		for _, k := range ks {
-			covered[k] = true
-		}
+	reqs := indexRequirements(il.Mapping, full.Examples)
+	var ids []int32
+	for _, e := range il.Examples {
+		ids = reqs.appendIDs(ids[:0], e, false)
+		reqs.meet(ids)
 	}
 	var missing []string
-	for k := range reqs {
-		if !covered[k] {
-			missing = append(missing, k)
+	for id, st := range reqs.state {
+		if st == reqOpen {
+			missing = append(missing, reqs.key(int32(id)))
 		}
 	}
 	sort.Strings(missing)

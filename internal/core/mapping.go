@@ -11,7 +11,6 @@ import (
 	"clio/internal/graph"
 	"clio/internal/relation"
 	"clio/internal/schema"
-	"clio/internal/value"
 )
 
 // Mapping is the paper's Definition 3.14: a query graph G over source
@@ -154,38 +153,11 @@ func (m *Mapping) DG(ctx context.Context, in *relation.Instance) (*relation.Rela
 
 // Transform applies the value correspondences to one data association,
 // yielding a target tuple (attributes without a correspondence are
-// null). This is Q_φ(M)(d): the transformation without filters.
+// null). This is Q_φ(M)(d): the transformation without filters. It
+// compiles the mapping for this one association; EvaluateOn and
+// ExamplesOn compile it once per pass over a D(G).
 func (m *Mapping) Transform(d relation.Tuple) relation.Tuple {
-	ts := m.TargetScheme()
-	vals := make([]value.Value, ts.Arity())
-	for _, c := range m.Corrs {
-		if i := ts.Index(c.Target.String()); i >= 0 {
-			vals[i] = c.Apply(d)
-		}
-	}
-	return relation.NewTuple(ts, vals...)
-}
-
-// SatisfiesSourceFilters reports whether d satisfies every C_S
-// predicate (3VL: unknown fails).
-func (m *Mapping) SatisfiesSourceFilters(d relation.Tuple) bool {
-	for _, f := range m.SourceFilters {
-		if expr.Truth(f, d) != value.True {
-			return false
-		}
-	}
-	return true
-}
-
-// SatisfiesTargetFilters reports whether target tuple t satisfies
-// every C_T predicate.
-func (m *Mapping) SatisfiesTargetFilters(t relation.Tuple) bool {
-	for _, f := range m.TargetFilters {
-		if expr.Truth(f, t) != value.True {
-			return false
-		}
-	}
-	return true
+	return compile(m, d.Scheme()).transform(d)
 }
 
 // Evaluate runs the mapping query: D(G), source filters,
@@ -199,20 +171,11 @@ func (m *Mapping) Evaluate(in *relation.Instance) (*relation.Relation, error) {
 	return m.EvaluateOn(d), nil
 }
 
-// EvaluateOn runs the mapping query over an already-computed D(G).
+// EvaluateOn runs the mapping query over an already-computed D(G)
+// (or any relation over its scheme), compiling the mapping once for
+// the pass.
 func (m *Mapping) EvaluateOn(dg *relation.Relation) *relation.Relation {
-	out := relation.New(m.Target.Name, m.TargetScheme())
-	for _, d := range dg.Tuples() {
-		if !m.SatisfiesSourceFilters(d) {
-			continue
-		}
-		t := m.Transform(d)
-		if !m.SatisfiesTargetFilters(t) {
-			continue
-		}
-		out.Add(t)
-	}
-	return out.Distinct()
+	return compile(m, dg.Scheme()).evaluate(m.Target.Name, dg)
 }
 
 // MappedAttrs returns the target attribute names that have a

@@ -274,18 +274,7 @@ func (m *Mapping) EvaluateViaLeftJoins(root string, in *relation.Instance) (*rel
 	if err != nil {
 		return nil, err
 	}
-	out := relation.New(m.Target.Name, m.TargetScheme())
-	for _, d := range joined.Tuples() {
-		if !m.SatisfiesSourceFilters(d) {
-			continue
-		}
-		t := m.Transform(d)
-		if !m.SatisfiesTargetFilters(t) {
-			continue
-		}
-		out.Add(t)
-	}
-	return out.Distinct(), nil
+	return m.EvaluateOn(joined), nil
 }
 
 // Plan builds the algebra plan of the mapping query over a

@@ -265,6 +265,7 @@ func fullDisjunction(ctx context.Context, g *graph.QueryGraph, in *relation.Inst
 	// byte-identity-critical.
 	vec := !budget.FromContext(ctx).SpillEnabled()
 	sink := newDGSink(ctx, budget.FromContext(ctx), s)
+	defer abortOnPanic(sink)
 	for _, sub := range subsets {
 		if err := ctx.Err(); err != nil {
 			sink.abort()
@@ -385,6 +386,7 @@ func FullDisjunctionNaive(ctx context.Context, g *graph.QueryGraph, in *relation
 		return nil, err
 	}
 	sink := newDGSink(ctx, budget.FromContext(ctx), s)
+	defer abortOnPanic(sink)
 	for _, sub := range g.ConnectedSubsets() {
 		if err := ctx.Err(); err != nil {
 			sink.abort()
@@ -470,6 +472,7 @@ func FullDisjunctionOuterJoin(ctx context.Context, g *graph.QueryGraph, in *rela
 		return nil, err
 	}
 	sink := newDGSink(ctx, budget.FromContext(ctx), s)
+	defer abortOnPanic(sink)
 	if !budget.FromContext(ctx).SpillEnabled() {
 		it, err := algebra.OpenVec(ctx, plan, in)
 		if err != nil {
@@ -637,26 +640,40 @@ func CoverageKey(nodes []string) string {
 
 // CoverageAll computes the coverage of every tuple of a D(G) relation
 // in one pass, resolving the node attribute blocks once. Equivalent to
-// calling Coverage per tuple, but O(nodes) setup instead of per-tuple.
+// calling Coverage per tuple, but O(nodes) setup instead of per-tuple,
+// and each category's coverage is built once: tuples of one category
+// share one slice, which callers must not modify.
 func CoverageAll(d *relation.Relation, g *graph.QueryGraph, in *relation.Instance) ([][]string, error) {
 	blocks, err := nodeBlocks(g, in, d.Scheme())
 	if err != nil {
 		return nil, err
 	}
-	nodes := g.Nodes()
+	nodes := append([]string(nil), g.Nodes()...)
+	sort.Strings(nodes)
 	out := make([][]string, d.Len())
+	covered := make([]byte, len(nodes)) // per node: 1 when covered
+	cats := map[string][]string{}
 	for i := 0; i < d.Len(); i++ {
 		t := d.At(i)
-		var cov []string
-		for _, name := range nodes {
+		for j, name := range nodes {
+			covered[j] = 0
 			for _, p := range blocks[name] {
 				if !t.At(p).IsNull() {
-					cov = append(cov, name)
+					covered[j] = 1
 					break
 				}
 			}
 		}
-		sort.Strings(cov)
+		cov, ok := cats[string(covered)]
+		if !ok {
+			for j, name := range nodes {
+				if covered[j] == 1 {
+					cov = append(cov, name)
+				}
+			}
+			cov = cov[:len(cov):len(cov)] // an append by a caller copies
+			cats[string(covered)] = cov
+		}
 		out[i] = cov
 	}
 	return out, nil

@@ -58,6 +58,17 @@ type dgSink interface {
 	abort()
 }
 
+// abortOnPanic is deferred by the D(G) algorithms right after they
+// create their sink: a panic unwinding through the computation (a
+// join worker's, re-raised on this goroutine) aborts the sink,
+// refunding its charges and removing its spill files, and continues.
+func abortOnPanic(s dgSink) {
+	if r := recover(); r != nil {
+		s.abort()
+		panic(r)
+	}
+}
+
 // newDGSink picks the accumulator for the tracker's spill mode. ctx
 // bounds the (possibly parallel) finalize replay.
 func newDGSink(ctx context.Context, tr *budget.Tracker, s *relation.Scheme) dgSink {

@@ -178,7 +178,7 @@ func TestBudget413EnvelopeNamesSpillState(t *testing.T) {
 // seconds, so well-behaved clients can back off without guessing.
 func TestThrottledResponseHasRetryAfter(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxInFlight: 1, RetryAfter: 3 * 1e9}) // 3s
-	s.gate <- struct{}{}                                                  // saturate
+	s.gate <- struct{}{}                                                   // saturate
 	defer func() { <-s.gate }()
 
 	status, ctype, data := callRaw(t, ts, "GET", "/api/sessions", "")

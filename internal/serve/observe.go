@@ -46,9 +46,9 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		"budget_rejections":    cBudgetRejected.Value(),
 		"journal_degraded":     obs.GetGauge("clio.journal.degraded").Value(),
 		"spill": map[string]any{
-			"enabled":      s.cfg.Budget.SpillDir != "",
-			"dir":          s.cfg.Budget.SpillDir,
-			"max_bytes":    s.cfg.Budget.MaxSpillBytes,
+			"enabled":       s.cfg.Budget.SpillDir != "",
+			"dir":           s.cfg.Budget.SpillDir,
+			"max_bytes":     s.cfg.Budget.MaxSpillBytes,
 			"partitions":    obs.GetCounter("spill.partitions").Value(),
 			"bytes":         obs.GetCounter("spill.bytes").Value(),
 			"spill_aborts":  obs.GetCounter("spill.spill_aborts").Value(),

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
@@ -115,13 +114,12 @@ func (w *sessionWatch) since(after int64) ([]watchEvent, int64, chan struct{}) {
 // preserving each side's row order (the view renders canonically, so
 // the order is stable across maintenance histories).
 func diffRows(old, new [][]string) (added, removed [][]string) {
-	key := func(r []string) string { return strings.Join(r, "\x1f") }
 	oc := make(map[string]int, len(old))
 	for _, r := range old {
-		oc[key(r)]++
+		oc[rowKey(r)]++
 	}
 	for _, r := range new {
-		if k := key(r); oc[k] > 0 {
+		if k := rowKey(r); oc[k] > 0 {
 			oc[k]--
 		} else {
 			added = append(added, r)
@@ -129,16 +127,37 @@ func diffRows(old, new [][]string) (added, removed [][]string) {
 	}
 	nc := make(map[string]int, len(new))
 	for _, r := range new {
-		nc[key(r)]++
+		nc[rowKey(r)]++
 	}
 	for _, r := range old {
-		if k := key(r); nc[k] > 0 {
+		if k := rowKey(r); nc[k] > 0 {
 			nc[k]--
 		} else {
 			removed = append(removed, r)
 		}
 	}
 	return added, removed
+}
+
+// rowKey encodes a row as its cells, each prefixed by its length, so
+// no cell content (a separator byte included) can make two different
+// rows share a key.
+func rowKey(r []string) string {
+	n := 0
+	for _, c := range r {
+		n += 4 + len(c)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, c := range r {
+		l := uint32(len(c))
+		b.WriteByte(byte(l >> 24))
+		b.WriteByte(byte(l >> 16))
+		b.WriteByte(byte(l >> 8))
+		b.WriteByte(byte(l))
+		b.WriteString(c)
+	}
+	return b.String()
 }
 
 // sessionViewRows renders the session's target view as display rows.
@@ -157,7 +176,7 @@ func renderRows(view *relation.Relation) [][]string {
 	for _, t := range view.Tuples() {
 		row := make([]string, 0, view.Scheme().Arity())
 		for i := 0; i < view.Scheme().Arity(); i++ {
-			row = append(row, fmt.Sprint(t.At(i)))
+			row = append(row, t.At(i).String())
 		}
 		rows = append(rows, row)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -223,6 +224,34 @@ func TestJournalReplayRowDeletesByteIdentical(t *testing.T) {
 		if got[key] != want[key] {
 			t.Errorf("replay with deletes differs in %s:\n--- want\n%v\n--- got\n%v",
 				key, want[key], got[key])
+		}
+	}
+}
+
+// diffRows is a multiset difference keyed on whole rows: cell contents
+// — including the unit separator a rows body may carry — never make
+// two different rows look alike.
+func TestDiffRowsMultisetAndCellBoundaries(t *testing.T) {
+	cases := []struct {
+		name                 string
+		old, new             [][]string
+		wantAdded, wantRemov [][]string
+	}{
+		{"unit separator inside cells",
+			[][]string{{"a\x1fb", "c"}}, [][]string{{"a", "b\x1fc"}},
+			[][]string{{"a", "b\x1fc"}}, [][]string{{"a\x1fb", "c"}}},
+		{"empty cells shift",
+			[][]string{{"", "x"}}, [][]string{{"x", ""}},
+			[][]string{{"x", ""}}, [][]string{{"", "x"}}},
+		{"duplicates count",
+			[][]string{{"1"}, {"1"}, {"2"}}, [][]string{{"1"}, {"3"}},
+			[][]string{{"3"}}, [][]string{{"1"}, {"2"}}},
+		{"unchanged", [][]string{{"1", "2"}}, [][]string{{"1", "2"}}, nil, nil},
+	}
+	for _, c := range cases {
+		added, removed := diffRows(c.old, c.new)
+		if !reflect.DeepEqual(added, c.wantAdded) || !reflect.DeepEqual(removed, c.wantRemov) {
+			t.Errorf("%s: added %q removed %q, want %q and %q", c.name, added, removed, c.wantAdded, c.wantRemov)
 		}
 	}
 }
