@@ -28,6 +28,27 @@ type Options struct {
 
 // Table renders a relation as an aligned ASCII table.
 func Table(r *relation.Relation, opt Options) string {
+	n := r.Len()
+	if opt.MaxRows > 0 && n > opt.MaxRows {
+		n = opt.MaxRows
+	}
+	rows := make([][]string, n)
+	for i := range rows {
+		t := r.At(i)
+		row := make([]string, t.Scheme().Arity())
+		for j := range row {
+			row[j] = t.At(j).String()
+		}
+		rows[i] = row
+	}
+	return TableRows(r, rows, opt)
+}
+
+// TableRows is Table over cells the caller already rendered: rows[i][j]
+// is r.At(i).At(j).String(), for every tuple of r or at least the first
+// opt.MaxRows of them. It reads r only for its name, scheme and length,
+// and for the tuples opt.Marker marks.
+func TableRows(r *relation.Relation, rows [][]string, opt Options) string {
 	headers := make([]string, r.Scheme().Arity())
 	for i, n := range r.Scheme().Names() {
 		if opt.Unqualify {
@@ -38,25 +59,17 @@ func Table(r *relation.Relation, opt Options) string {
 		}
 		headers[i] = n
 	}
-	rows := [][]string{}
-	n := r.Len()
 	truncated := 0
-	if opt.MaxRows > 0 && n > opt.MaxRows {
-		truncated = n - opt.MaxRows
-		n = opt.MaxRows
-	}
-	for i := 0; i < n; i++ {
-		t := r.At(i)
-		row := make([]string, len(headers))
-		for j := 0; j < t.Scheme().Arity(); j++ {
-			row[j] = t.At(j).String()
-		}
-		if opt.Marker != nil {
-			row = append([]string{opt.Marker(t)}, row...)
-		}
-		rows = append(rows, row)
+	if opt.MaxRows > 0 && r.Len() > opt.MaxRows {
+		truncated = r.Len() - opt.MaxRows
+		rows = rows[:opt.MaxRows]
 	}
 	if opt.Marker != nil {
+		marked := make([][]string, len(rows))
+		for i, row := range rows {
+			marked[i] = append([]string{opt.Marker(r.At(i))}, row...)
+		}
+		rows = marked
 		headers = append([]string{""}, headers...)
 	}
 	out := grid(r.Name, headers, rows)

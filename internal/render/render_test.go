@@ -2,6 +2,7 @@ package render
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -140,5 +141,52 @@ func TestWriteHTML(t *testing.T) {
 	var b2 strings.Builder
 	if err := WriteHTML(&b2, HTMLReport{Title: "empty", Mapping: core.NewMapping("e", paperdb.Kids())}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// cells renders every tuple of r, one display string per cell.
+func cells(r *relation.Relation) [][]string {
+	rows := make([][]string, r.Len())
+	for i, tp := range r.Tuples() {
+		rows[i] = make([]string, tp.Scheme().Arity())
+		for j := range rows[i] {
+			rows[i][j] = tp.At(j).String()
+		}
+	}
+	return rows
+}
+
+// TableRows over cells rendered beforehand equals Table, for every
+// option, on the Figure 1 Kids view and a kids view scaled up with
+// generated children (nulls, empty and duplicate names included).
+func TestTableRowsMatchesTable(t *testing.T) {
+	m := paperdb.Example315Mapping()
+	paperView, err := m.Evaluate(paperdb.Instance())
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := paperdb.Instance()
+	kids := in.Relation("Children")
+	parents := []string{"100", "101", "102", "103", "104", "106", "107", "205", "-"}
+	for i := 0; i < 300; i++ {
+		name := []string{"", "Kid", "Ann", "-"}[i%4]
+		kids.AddRow(fmt.Sprintf("k%04d", i), name, fmt.Sprint(4+i%6), parents[i%9], parents[(i*7)%9], "d1")
+	}
+	scaledView, err := m.Evaluate(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	marker := func(tp relation.Tuple) string {
+		if tp.At(1).String() == "Ann" {
+			return "→"
+		}
+		return ""
+	}
+	for _, v := range []*relation.Relation{paperView, scaledView, in.Relation("Children")} {
+		for _, opt := range []Options{{}, {Unqualify: true}, {Unqualify: true, MaxRows: 3}, {MaxRows: 5000}, {Marker: marker, MaxRows: 7}} {
+			if got, want := TableRows(v, cells(v), opt), Table(v, opt); got != want {
+				t.Errorf("%s (%d rows) %+v: TableRows differs from Table:\n%s\nwant:\n%s", v.Name, v.Len(), opt, got, want)
+			}
+		}
 	}
 }

@@ -248,16 +248,15 @@ func (s *Server) handleExamples(ctx context.Context, r *http.Request) (any, erro
 
 func (s *Server) handleView(ctx context.Context, r *http.Request) (any, error) {
 	return s.withSession(r, func(sess *Session) (any, error) {
-		view, err := sess.tool.TargetView(ctx)
+		view, rows, err := sessionView(ctx, sess)
 		if err != nil {
 			return nil, opError(err)
 		}
-		rows := renderRows(view)
 		return map[string]any{
 			"target": view.Name,
 			"scheme": view.Scheme().Names(),
 			"rows":   rows,
-			"text":   render.Table(view, render.Options{Unqualify: true}),
+			"text":   render.TableRows(view, rows, render.Options{Unqualify: true}),
 		}, nil
 	})
 }

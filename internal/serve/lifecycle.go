@@ -168,6 +168,7 @@ func (s *Server) tombstone(sess *Session, now time.Time) {
 	sess.journal.Close()
 	sess.journal = nil
 	sess.tool = nil
+	sess.viewRel, sess.viewRows = nil, nil
 	sess.in = nil
 	sess.target = nil
 	sess.rowOps = nil

@@ -196,6 +196,11 @@ type Session struct {
 	// state-changing op. Guarded by sess.mu for creation; its own lock
 	// for event access (long-pollers must not hold sess.mu).
 	watch *sessionWatch
+
+	// viewRel is the last target view relation the session rendered and
+	// viewRows its display rows (see sessionView). Guarded by sess.mu.
+	viewRel  *relation.Relation
+	viewRows [][]string
 }
 
 // touch refreshes the idle clock. Callers hold sess.mu.
@@ -647,9 +652,7 @@ func (s *Server) logSessionPanic(id, detail string) {
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(body)
+	_ = json.NewEncoder(w).Encode(body)
 }
 
 // minBudget combines two budgets field-wise: the tighter non-zero

@@ -2,9 +2,10 @@ package serve
 
 import (
 	"context"
+	"hash/maphash"
 	"net/http"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -112,62 +113,80 @@ func (w *sessionWatch) since(after int64) ([]watchEvent, int64, chan struct{}) {
 
 // diffRows computes the multiset difference between two row lists,
 // preserving each side's row order (the view renders canonically, so
-// the order is stable across maintenance histories).
+// the order is stable across maintenance histories): each new row
+// cancels the first equal old row not yet cancelled. Rows of the common
+// prefix cancel pairwise, so only the rows after it are matched, each
+// new one against the old rows of its hash, confirmed cell by cell.
 func diffRows(old, new [][]string) (added, removed [][]string) {
-	oc := make(map[string]int, len(old))
-	for _, r := range old {
-		oc[rowKey(r)]++
+	p := 0
+	for p < len(old) && p < len(new) && slices.Equal(old[p], new[p]) {
+		p++
 	}
+	old, new = old[p:], new[p:]
+	if len(old) == 0 || len(new) == 0 {
+		return append(added, new...), append(removed, old...)
+	}
+	// first maps a row hash to the first old row with that hash; next
+	// chains the later ones, in order.
+	first := make(map[uint64]int, len(old))
+	next := make([]int, len(old))
+	for i := len(old) - 1; i >= 0; i-- {
+		h := rowHash(old[i])
+		next[i] = -1
+		if j, ok := first[h]; ok {
+			next[i] = j
+		}
+		first[h] = i
+	}
+	cancelled := make([]bool, len(old))
 	for _, r := range new {
-		if k := rowKey(r); oc[k] > 0 {
-			oc[k]--
-		} else {
+		i, ok := first[rowHash(r)]
+		if !ok {
+			i = -1
+		}
+		for i >= 0 && (cancelled[i] || !slices.Equal(old[i], r)) {
+			i = next[i]
+		}
+		if i < 0 {
 			added = append(added, r)
+		} else {
+			cancelled[i] = true
 		}
 	}
-	nc := make(map[string]int, len(new))
-	for _, r := range new {
-		nc[rowKey(r)]++
-	}
-	for _, r := range old {
-		if k := rowKey(r); nc[k] > 0 {
-			nc[k]--
-		} else {
+	for i, r := range old {
+		if !cancelled[i] {
 			removed = append(removed, r)
 		}
 	}
 	return added, removed
 }
 
-// rowKey encodes a row as its cells, each prefixed by its length, so
-// no cell content (a separator byte included) can make two different
-// rows share a key.
-func rowKey(r []string) string {
-	n := 0
+// rowSeed keys rowHash for the life of the process.
+var rowSeed = maphash.MakeSeed()
+
+// rowHash hashes a row cell by cell; equal rows hash equal, and
+// diffRows confirms every hash match by comparing the cells.
+func rowHash(r []string) uint64 {
+	h := uint64(len(r))
 	for _, c := range r {
-		n += 4 + len(c)
+		h = (h ^ maphash.String(rowSeed, c)) * 0x100000001b3
 	}
-	var b strings.Builder
-	b.Grow(n)
-	for _, c := range r {
-		l := uint32(len(c))
-		b.WriteByte(byte(l >> 24))
-		b.WriteByte(byte(l >> 16))
-		b.WriteByte(byte(l >> 8))
-		b.WriteByte(byte(l))
-		b.WriteString(c)
-	}
-	return b.String()
+	return h
 }
 
-// sessionViewRows renders the session's target view as display rows.
-// The caller holds sess.mu.
-func sessionViewRows(ctx context.Context, sess *Session) ([][]string, error) {
+// sessionView returns the session's target view and its display rows.
+// The rows are rendered once per view relation (TargetView returns the
+// same relation until the session's state changes) and shared with the
+// watch's diff base; nobody mutates them. The caller holds sess.mu.
+func sessionView(ctx context.Context, sess *Session) (*relation.Relation, [][]string, error) {
 	view, err := sess.tool.TargetView(ctx)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return renderRows(view), nil
+	if view != sess.viewRel {
+		sess.viewRel, sess.viewRows = view, renderRows(view)
+	}
+	return view, sess.viewRows, nil
 }
 
 // renderRows renders a relation's tuples as display-string rows.
@@ -194,7 +213,7 @@ func (s *Server) publishWatch(ctx context.Context, sess *Session, op string) {
 		return
 	}
 	vctx := obs.WithTraceID(context.Background(), obs.TraceID(ctx))
-	rows, err := sessionViewRows(vctx, sess)
+	_, rows, err := sessionView(vctx, sess)
 	w.publish(op, obs.TraceID(ctx), obs.GetNote(ctx, "dg_maint"), rows, err)
 }
 
@@ -226,7 +245,7 @@ func (s *Server) handleWatch(ctx context.Context, r *http.Request) (any, error) 
 		// for the initial snapshot under its own budget. On error the
 		// baseline stays empty and the first event reports every row as
 		// added — safe, just verbose.
-		if rows, verr := sessionViewRows(ctx, sess); verr == nil {
+		if _, rows, verr := sessionView(ctx, sess); verr == nil {
 			sess.watch.setBaseline(rows)
 		}
 	}
@@ -242,7 +261,10 @@ func (s *Server) handleWatch(ctx context.Context, r *http.Request) (any, error) 
 	deadline := time.Now().Add(wait)
 	for {
 		events, seq, notify := w.since(after)
-		if len(events) > 0 || wait <= 0 {
+		// A cursor ahead of the feed belongs to a feed that restarted
+		// (journal replay or resurrect number events from 0 again): no
+		// wait could bring its events, so answer at once with next.
+		if len(events) > 0 || wait <= 0 || after > seq {
 			if events == nil {
 				events = []watchEvent{}
 			}

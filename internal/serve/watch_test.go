@@ -3,9 +3,11 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -253,5 +255,193 @@ func TestDiffRowsMultisetAndCellBoundaries(t *testing.T) {
 		if !reflect.DeepEqual(added, c.wantAdded) || !reflect.DeepEqual(removed, c.wantRemov) {
 			t.Errorf("%s: added %q removed %q, want %q and %q", c.name, added, removed, c.wantAdded, c.wantRemov)
 		}
+	}
+}
+
+// diffRowsByKey is the keyed multiset diff diffRows replaced, kept as
+// its reference: count every row of each side by its length-framed
+// key, then report the surplus rows of each side in order.
+func diffRowsByKey(old, new [][]string) (added, removed [][]string) {
+	key := func(r []string) string {
+		var b strings.Builder
+		for _, c := range r {
+			l := uint32(len(c))
+			b.Write([]byte{byte(l >> 24), byte(l >> 16), byte(l >> 8), byte(l)})
+			b.WriteString(c)
+		}
+		return b.String()
+	}
+	surplus := func(from, against [][]string) (out [][]string) {
+		n := make(map[string]int, len(against))
+		for _, r := range against {
+			n[key(r)]++
+		}
+		for _, r := range from {
+			if k := key(r); n[k] > 0 {
+				n[k]--
+			} else {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+	return surplus(new, old), surplus(old, new)
+}
+
+// diffRows returns exactly the rows, in the same order, that the keyed
+// reference does, over random row lists with duplicates, shared
+// prefixes, empty cells, ragged rows and "\x1f" bytes.
+func TestDiffRowsMatchesKeyedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	cell := func() string {
+		return []string{"", "a", "b", "a\x1f", "\x1fb", "a\x1fb", "-", "0"}[rng.Intn(8)]
+	}
+	row := func() []string {
+		r := make([]string, 1+rng.Intn(3))
+		for i := range r {
+			r[i] = cell()
+		}
+		return r
+	}
+	rows := func(n int) [][]string {
+		out := make([][]string, n)
+		for i := range out {
+			out[i] = row()
+		}
+		return out
+	}
+	for i := 0; i < 3000; i++ {
+		prefix := rows(rng.Intn(6))
+		old := append(append([][]string{}, prefix...), rows(rng.Intn(8))...)
+		new := append(append([][]string{}, prefix...), rows(rng.Intn(8))...)
+		if rng.Intn(4) == 0 {
+			// The same rows reordered, or with one row repeated.
+			new = append([][]string{}, old...)
+			rng.Shuffle(len(new), func(a, b int) { new[a], new[b] = new[b], new[a] })
+			if len(old) > 0 {
+				new = append(new, old[rng.Intn(len(old))])
+			}
+		}
+		added, removed := diffRows(old, new)
+		wantAdded, wantRemoved := diffRowsByKey(old, new)
+		if !reflect.DeepEqual(added, wantAdded) || !reflect.DeepEqual(removed, wantRemoved) {
+			t.Fatalf("diffRows(%q, %q) = %q, %q; reference %q, %q", old, new, added, removed, wantAdded, wantRemoved)
+		}
+	}
+}
+
+// rowsOf decodes a JSON array of rows (a view's rows, an event's added
+// or removed rows); nil when it is absent or empty.
+func rowsOf(v any) [][]string {
+	raw, _ := v.([]any)
+	var rows [][]string
+	for _, r := range raw {
+		var row []string
+		for _, c := range r.([]any) {
+			row = append(row, c.(string))
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// On a watched session, every op's event reports exactly the rows the
+// keyed reference diff finds between the GET view bodies before and
+// after the op, and two GET views with no op between answer the same
+// body.
+func TestWatchEventsMatchViewDiffs(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	id := newPaperSession(t, ts)
+	base := "/api/sessions/" + id
+	mustCall(t, ts, "POST", base+"/corr", map[string]any{"spec": "Children.ID -> Kids.ID"})
+	mustCall(t, ts, "POST", base+"/corr", map[string]any{"spec": "Children.name -> Kids.name"})
+	mustCall(t, ts, "POST", base+"/walk", map[string]any{"from": "Children", "to": "PhoneDir"})
+	mustCall(t, ts, "GET", base+"/watch", nil)
+	prev := mustCall(t, ts, "GET", base+"/view", nil)
+	kid := []string{"012", "Nina", "8", "100", "101", "d3"}
+	steps := []struct {
+		op   string
+		body map[string]any
+	}{
+		{"rows", map[string]any{"relation": "Children", "values": kid}},
+		{"rows", map[string]any{"relation": "PhoneDir", "values": []string{"101", "cell", "555-0199"}}},
+		{"filter", map[string]any{"kind": "source", "pred": "Children.age < 9"}},
+		{"rows", map[string]any{"relation": "Children", "values": []string{"013", "Omar", "5", "102", "103", "d1"}}},
+		{"undo", nil},
+		{"accept", nil},
+		{"rows", map[string]any{"relation": "Children", "values": kid, "delete": true}},
+		{"filter", map[string]any{"kind": "target", "pred": "Kids.name <> 'Ann'"}},
+		{"undo", nil},
+	}
+	next, added, removed := int64(0), 0, 0
+	for i, s := range steps {
+		mustCall(t, ts, "POST", base+"/"+s.op, s.body)
+		out := mustCall(t, ts, "GET", base+"/watch?after="+jsonNum(next), nil)
+		next = int64(out["next"].(float64))
+		evs := watchEvents(t, out)
+		if len(evs) != 1 || evs[0]["op"] != s.op {
+			t.Fatalf("step %d (%s): events %v, want one %s event", i, s.op, evs, s.op)
+		}
+		cur := mustCall(t, ts, "GET", base+"/view", nil)
+		if again := mustCall(t, ts, "GET", base+"/view", nil); !reflect.DeepEqual(again, cur) {
+			t.Fatalf("step %d (%s): a repeated GET view answered differently", i, s.op)
+		}
+		wantAdded, wantRemoved := diffRowsByKey(rowsOf(prev["rows"]), rowsOf(cur["rows"]))
+		if got := rowsOf(evs[0]["added"]); !reflect.DeepEqual(got, wantAdded) {
+			t.Errorf("step %d (%s): added %q, view diff %q", i, s.op, got, wantAdded)
+		}
+		if got := rowsOf(evs[0]["removed"]); !reflect.DeepEqual(got, wantRemoved) {
+			t.Errorf("step %d (%s): removed %q, view diff %q", i, s.op, got, wantRemoved)
+		}
+		if n := int(evs[0]["rows"].(float64)); n != len(rowsOf(cur["rows"])) {
+			t.Errorf("step %d (%s): event counts %d rows, view has %d", i, s.op, n, len(rowsOf(cur["rows"])))
+		}
+		added, removed = added+len(wantAdded), removed+len(wantRemoved)
+		prev = cur
+	}
+	if added == 0 || removed == 0 {
+		t.Fatalf("the steps added %d and removed %d view rows; want both", added, removed)
+	}
+}
+
+// A feed restarts at seq 0 when journal replay rebuilds the session. A
+// client polling with its old, larger cursor gets an immediate answer
+// carrying the restarted feed's next, instead of parking for its whole
+// wait while the feed counts up from 0 beneath it.
+func TestWatchCursorAheadOfFeedAnswersAtOnce(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{JournalDir: dir}
+	s1 := New(cfg)
+	ts1 := httptest.NewServer(s1.Handler())
+	id := newPaperSession(t, ts1)
+	base := "/api/sessions/" + id
+	mustCall(t, ts1, "POST", base+"/corr", map[string]any{"spec": "Children.ID -> Kids.ID"})
+	mustCall(t, ts1, "GET", base+"/watch", nil)
+	for _, kid := range []string{"012", "013", "014"} {
+		mustCall(t, ts1, "POST", base+"/rows",
+			map[string]any{"relation": "Children", "values": []string{kid, "Kid", "8", "100", "101", "d3"}})
+	}
+	cursor := int64(mustCall(t, ts1, "GET", base+"/watch", nil)["next"].(float64))
+	if cursor != 3 {
+		t.Fatalf("cursor after three edits = %d, want 3", cursor)
+	}
+	ts1.Close()
+
+	s2 := New(cfg)
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	mustCall(t, ts2, "GET", base+"/watch", nil) // the replayed session's feed starts over
+	mustCall(t, ts2, "POST", base+"/rows",
+		map[string]any{"relation": "Children", "values": []string{"015", "Kid", "8", "100", "101", "d3"}})
+	start := time.Now()
+	out := mustCall(t, ts2, "GET", base+"/watch?after="+jsonNum(cursor)+"&wait_ms=3000", nil)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("poll ahead of the feed parked for %v", elapsed)
+	}
+	if evs := watchEvents(t, out); len(evs) != 0 {
+		t.Errorf("poll ahead of the feed returned events %v", evs)
+	}
+	if next := int64(out["next"].(float64)); next != 1 {
+		t.Errorf("next = %d, want the restarted feed's 1", next)
 	}
 }

@@ -10,6 +10,7 @@ package workspace
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -45,6 +46,23 @@ type Workspace struct {
 	// session rebuilds it on its next edit, which renders identically
 	// because Materialized.Rel() is canonical.
 	dgm *fd.Materialized
+	// view memoizes TargetView computed while this workspace was the
+	// active one; cleared wherever dg is replaced or dropped.
+	view viewMemo
+}
+
+// viewMemo is one computed target view with the state it was computed
+// under: the accepted mappings and the instance version.
+type viewMemo struct {
+	rel      *relation.Relation
+	accepted []*core.Mapping
+	version  uint64
+}
+
+// valid reports whether the memo holds the view for these accepted
+// mappings (compared element-wise by pointer) and instance version.
+func (m *viewMemo) valid(accepted []*core.Mapping, version uint64) bool {
+	return m.rel != nil && m.version == version && slices.Equal(m.accepted, accepted)
 }
 
 // Tool is one Clio session: the source instance, its join knowledge
@@ -62,7 +80,8 @@ type Tool struct {
 	// mu guards every field below. Public methods lock it, so one
 	// Tool can be shared by concurrent callers (e.g. the serve layer);
 	// unexported *Locked variants exist for internal cross-calls.
-	// Returned workspaces and mappings are read-only snapshots.
+	// Returned workspaces, mappings and target views are read-only
+	// snapshots.
 	mu         sync.Mutex
 	workspaces []*Workspace
 	active     int // index into workspaces, -1 when none
@@ -334,11 +353,24 @@ func (t *Tool) confirmLocked() (err error) {
 
 // TargetView evaluates the WYSIWYG target: the union of every accepted
 // mapping's result and the active mapping's result (Sections 6.1–6.2).
+// The view is memoized on the active workspace: until the active
+// workspace, the accepted mappings or the instance version change,
+// later calls return the same relation without recomputing it or
+// charging a budget. The result is a read-only shared snapshot, like
+// the workspaces and mappings the tool returns.
 func (t *Tool) TargetView(ctx context.Context) (*relation.Relation, error) {
 	ctx, span := obs.StartSpan(ctx, "workspace.target_view")
 	defer span.End()
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	act := t.activeLocked()
+	version := t.Instance.Version()
+	if act != nil && act.view.valid(t.accepted, version) {
+		span.SetStr("memo", "hit")
+		span.SetInt("tuples", int64(act.view.rel.Len()))
+		return act.view.rel, nil
+	}
+	span.SetStr("memo", "miss")
 	out := relation.New(t.Target.Name, relation.SchemeFor(t.Target))
 	add := func(m *core.Mapping) error {
 		if m.Graph.NodeCount() == 0 {
@@ -364,17 +396,20 @@ func (t *Tool) TargetView(ctx context.Context) (*relation.Relation, error) {
 			return nil, err
 		}
 	}
-	if w := t.activeLocked(); w != nil && !seen[w.Mapping.String()] {
-		if w.dg != nil && w.Mapping.Graph.NodeCount() > 0 {
+	if act != nil && !seen[act.Mapping.String()] {
+		if act.dg != nil && act.Mapping.Graph.NodeCount() > 0 {
 			// Reuse the cached D(G).
-			for _, tp := range w.Mapping.EvaluateOn(w.dg).Tuples() {
+			for _, tp := range act.Mapping.EvaluateOn(act.dg).Tuples() {
 				out.Add(tp)
 			}
-		} else if err := add(w.Mapping); err != nil {
+		} else if err := add(act.Mapping); err != nil {
 			return nil, err
 		}
 	}
 	res := out.Distinct()
+	if act != nil {
+		act.view = viewMemo{rel: res, accepted: slices.Clone(t.accepted), version: version}
+	}
 	span.SetInt("tuples", int64(res.Len()))
 	return res, nil
 }
@@ -444,7 +479,7 @@ func (t *Tool) maintainRowsLocked(ctx context.Context, base string, tup relation
 	drop := func(ws []*Workspace) {
 		for _, w := range ws {
 			if w != act {
-				w.dg, w.dgm = nil, nil
+				w.dg, w.dgm, w.view = nil, nil, viewMemo{}
 			}
 		}
 	}
@@ -466,7 +501,7 @@ func (t *Tool) maintainRowsLocked(ctx context.Context, base string, tup relation
 		act.dgm = nil
 		return err
 	}
-	act.dg, act.dgm = dg, mat
+	act.dg, act.dgm, act.view = dg, mat, viewMemo{}
 	// The illustration rides the new D(G): examples on unchanged
 	// associations are inherited, the rest re-selected (Section 5.3
 	// continuity). A failed evolution falls back to a fresh selection;

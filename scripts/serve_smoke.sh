@@ -58,6 +58,12 @@ OUT=$(curl -sf "$BASE/api/sessions/$SID/illustration") || fail "illustration fai
 case "$OUT" in *PhoneDir*) ;; *) fail "illustration missing PhoneDir: $OUT" ;; esac
 PRE_CRASH=$(curl -sf "$BASE/api/sessions/$SID/view") || fail "pre-crash view failed"
 
+# The first view computed the target view; a second one with no op
+# between is served from the session's memo and must answer the same
+# bytes.
+AGAIN=$(curl -sf "$BASE/api/sessions/$SID/view") || fail "repeated view failed"
+[ "$PRE_CRASH" = "$AGAIN" ] || fail "repeated target view differs from the first"
+
 # Crash-safety: kill -9 the server mid-session; the journal must
 # restore the session on the next boot with a byte-identical view.
 kill -9 "$PID"
@@ -96,7 +102,7 @@ esac
 # /statusz reports the server live (not draining) with cache stats and
 # the cost-based planner's counters.
 OUT=$(curl -sf "$BASE/statusz") || fail "statusz failed"
-case "$OUT" in *'"draining": false'*) ;; *) fail "statusz not live: $OUT" ;; esac
+case "$OUT" in *'"draining":false'*) ;; *) fail "statusz not live: $OUT" ;; esac
 case "$OUT" in *'"hit_ratio"'*) ;; *) fail "statusz missing cache block: $OUT" ;; esac
 case "$OUT" in *'"planner"'*) ;; *) fail "statusz missing planner block: $OUT" ;; esac
 
@@ -246,7 +252,7 @@ BODY413=$(mktemp)
 CODE=$(curl -s -o "$BODY413" -w '%{http_code}' -X POST "$BASE2/api/sessions/$SID2/corr" \
     -d '{"spec":"Children.ID -> Kids.ID"}')
 [ "$CODE" = "413" ] || { cat "$BODY413" >&2; fail "over-budget corr answered $CODE, want 413"; }
-grep -q '"spill": "disabled"' "$BODY413" || { cat "$BODY413" >&2; fail "413 envelope does not name spill state disabled"; }
+grep -q '"spill":"disabled"' "$BODY413" || { cat "$BODY413" >&2; fail "413 envelope does not name spill state disabled"; }
 rm -f "$BODY413"
 stop_server2
 
