@@ -8,6 +8,7 @@ package discovery
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"time"
 
@@ -199,7 +200,8 @@ type Occurrence struct {
 
 // ValueIndex is an inverted index from values to the columns that
 // contain them; it answers the data chase's "where else does this
-// value occur?" in O(1) per value.
+// value occur?" in O(1) per value. ApplyRow keeps it current under row
+// edits; it must not run concurrently with other calls on the index.
 type ValueIndex struct {
 	occ map[string][]Occurrence
 	// scanFallback is set when the index build was degraded by an
@@ -262,6 +264,50 @@ func (ix *ValueIndex) Occurrences(v value.Value) []Occurrence {
 		return OccurrencesScan(ix.scanFallback, v)
 	}
 	return ix.occ[v.Key()]
+}
+
+// ApplyRow folds one row edit into the occurrence counts: t was
+// inserted into (del=false) or deleted from (del=true) the relation
+// its scheme describes. Updates are copy-on-write, so a slice that
+// Occurrences returned earlier never changes. A value's last
+// occurrence leaves the index. The scan-fallback index reads the live
+// instance and needs nothing.
+func (ix *ValueIndex) ApplyRow(t relation.Tuple, del bool) {
+	if ix.scanFallback != nil {
+		return
+	}
+	for pos, qn := range t.Scheme().Names() {
+		v := t.At(pos)
+		if v.IsNull() {
+			continue
+		}
+		ref, err := schema.ParseColumnRef(qn)
+		if err != nil {
+			continue
+		}
+		k, col := v.Key(), ref.String()
+		old := ix.occ[k]
+		i := sort.Search(len(old), func(i int) bool { return old[i].Column.String() >= col })
+		found := i < len(old) && old[i].Column == ref
+		occ := slices.Clone(old)
+		switch {
+		case found && del:
+			if occ[i].Count--; occ[i].Count == 0 {
+				occ = slices.Delete(occ, i, i+1)
+			}
+		case found:
+			occ[i].Count++
+		case !del:
+			occ = slices.Insert(occ, i, Occurrence{Column: ref, Count: 1})
+		default:
+			continue // nothing recorded to remove
+		}
+		if len(occ) == 0 {
+			delete(ix.occ, k)
+		} else {
+			ix.occ[k] = occ
+		}
+	}
 }
 
 // OccurrencesScan finds the columns containing v by scanning the whole

@@ -72,8 +72,12 @@ type Materialized struct {
 }
 
 // NewMaterialized computes D(G) from scratch into delta-maintainable
-// form. It enumerates the same subgraphs and charges the same budget
-// as FullDisjunction; only the accumulator differs.
+// form. It enumerates the same subgraphs on the row pipeline and
+// charges the same budget, association by association, as
+// FullDisjunction; only the accumulator differs. The padded
+// associations are collected and the subsumption state is built from
+// them in one pass (relation.NewSubsumeSetFrom), which yields exactly
+// the state inserting them one by one would.
 func NewMaterialized(ctx context.Context, g *graph.QueryGraph, in *relation.Instance) (*Materialized, error) {
 	if g.NodeCount() == 0 {
 		return nil, fmt.Errorf("fd: empty query graph")
@@ -90,23 +94,31 @@ func NewMaterialized(ctx context.Context, g *graph.QueryGraph, in *relation.Inst
 	subsets := g.ConnectedSubsets()
 	span.SetInt("subsets", int64(len(subsets)))
 	tr := budget.FromContext(ctx)
-	m := &Materialized{
-		scheme:  s,
-		subsets: subsets,
-		set:     relation.NewSubsumeSet(s),
-		canon:   canonGraph(g),
+	var assocs []relation.Tuple
+	collect := func(p relation.Tuple) error {
+		assocs = append(assocs, p)
+		return nil
 	}
 	for _, sub := range subsets {
 		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if err := fault.Inject("fd.materialize"); err != nil {
 			return nil, err
 		}
 		plan, err := associationPlan(g, sub)
 		if err != nil {
 			return nil, err
 		}
-		if err := m.drain(ctx, plan, in, tr, false); err != nil {
+		if err := drain(ctx, plan, in, s, tr, collect); err != nil {
 			return nil, err
 		}
+	}
+	m := &Materialized{
+		scheme:  s,
+		subsets: subsets,
+		set:     relation.NewSubsumeSetFrom(s, assocs),
+		canon:   canonGraph(g),
 	}
 	span.SetInt("tuples", int64(m.set.Len()))
 	return m, nil
@@ -127,9 +139,8 @@ func (m *Materialized) Rel() *relation.Relation {
 }
 
 // drain runs plan to exhaustion, padding every output association to
-// the D(G) scheme, charging the tracker, and inserting into (or, for
-// the delete side of an edit, deleting from) the subsumption state.
-func (m *Materialized) drain(ctx context.Context, plan algebra.Node, in *relation.Instance, tr *budget.Tracker, del bool) error {
+// scheme s, charging the tracker, and handing it to emit.
+func drain(ctx context.Context, plan algebra.Node, in *relation.Instance, s *relation.Scheme, tr *budget.Tracker, emit func(relation.Tuple) error) error {
 	it, err := plan.Open(ctx, in)
 	if err != nil {
 		return err
@@ -144,19 +155,12 @@ func (m *Materialized) drain(ctx context.Context, plan algebra.Node, in *relatio
 			return nil
 		}
 		for _, t := range batch {
-			p := t.PadTo(m.scheme)
+			p := t.PadTo(s)
 			if err := tr.Charge(1, p.ApproxBytes()); err != nil {
 				return err
 			}
-			if del {
-				if !m.set.Delete(p) {
-					// The multiset disagrees with the maintained state —
-					// a bug or an unnoticed external mutation. Degrade to
-					// rebuild rather than serve a diverged D(G).
-					return fmt.Errorf("%w: delete of untracked association", errDeltaDegrade)
-				}
-			} else {
-				m.set.Insert(p)
+			if err := emit(p); err != nil {
+				return err
 			}
 		}
 	}
@@ -185,6 +189,17 @@ func (m *Materialized) ApplyRow(ctx context.Context, g *graph.QueryGraph, in *re
 	defer span.End()
 	span.SetStr("base", base)
 	tr := budget.FromContext(ctx)
+	emit := func(p relation.Tuple) error {
+		if !del {
+			m.set.Insert(p)
+		} else if !m.set.Delete(p) {
+			// The multiset disagrees with the maintained state — a bug
+			// or an unnoticed external mutation. Degrade to rebuild
+			// rather than serve a diverged D(G).
+			return fmt.Errorf("%w: delete of untracked association", errDeltaDegrade)
+		}
+		return nil
+	}
 	for _, sub := range m.subsets {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -228,7 +243,7 @@ func (m *Materialized) ApplyRow(ctx context.Context, g *graph.QueryGraph, in *re
 			if err != nil {
 				return err
 			}
-			if err := m.drain(ctx, plan, in, tr, del); err != nil {
+			if err := drain(ctx, plan, in, m.scheme, tr, emit); err != nil {
 				return err
 			}
 		}
@@ -263,7 +278,10 @@ func GraphReadsBase(g *graph.QueryGraph, base string) bool {
 func MaintainRows(ctx context.Context, mat *Materialized, g *graph.QueryGraph, in *relation.Instance, base string, t relation.Tuple, del bool) (*relation.Relation, *Materialized, string, error) {
 	ctx, span := obs.StartSpan(ctx, "fd.maintain_rows")
 	defer span.End()
-	rebuildEst, err := estimateRows(g, in, g.IsTree())
+	// A rebuild pads every singleton subset whatever the graph's shape,
+	// so Σ|R_n| (the cyclic bound) is certain for it, spill or not: the
+	// build never refunds a charge.
+	rebuildEst, err := estimateRows(g, in, false)
 	if err != nil {
 		return nil, nil, "", err
 	}
@@ -297,6 +315,10 @@ func MaintainRows(ctx context.Context, mat *Materialized, g *graph.QueryGraph, i
 		case "abort":
 			return nil, nil, "", overBudget(ctx, rebuildEst)
 		}
+	}
+	if h := rowHeadroom(ctx); h >= 0 && rebuildEst > h {
+		// Doomed: refuse before any join runs or any row is charged.
+		return nil, nil, "", overBudget(ctx, rebuildEst)
 	}
 	m2, err := NewMaterialized(ctx, g, in)
 	if err != nil {

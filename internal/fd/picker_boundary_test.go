@@ -7,6 +7,11 @@ import (
 	"testing"
 
 	"clio/internal/budget"
+	"clio/internal/expr"
+	"clio/internal/graph"
+	"clio/internal/relation"
+	"clio/internal/schema"
+	"clio/internal/value"
 )
 
 // Boundary semantics of the budget-aware pickers, pinned at exact
@@ -86,5 +91,69 @@ func TestBudgetBoundaryModeExactChargeComputes(t *testing.T) {
 	under := WithBudget(context.Background(), Budget{MaxRows: used - 1})
 	if _, err := Compute(under, g, in); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("budget one under the charge returned %v, want budget error", err)
+	}
+}
+
+// disjointPair builds A—B over keys that never match, so building the
+// materialization charges exactly Σ|R_n| rows: the singleton subsets
+// and nothing else.
+func disjointPair() (*graph.QueryGraph, *relation.Instance) {
+	sch := schema.NewDatabase()
+	for _, n := range []string{"A", "B"} {
+		sch.MustAddRelation(schema.NewRelation(n, schema.Attribute{Name: "k", Type: value.KindInt}))
+	}
+	in := relation.NewInstance(sch)
+	for i, n := range []string{"A", "B"} {
+		r := in.NewRelationFor(n)
+		for k := 0; k < 3; k++ {
+			r.AddValues(value.Int(int64(10*i + k)))
+		}
+		in.MustAdd(r)
+	}
+	g := graph.New()
+	g.MustAddNode("A", "A")
+	g.MustAddNode("B", "B")
+	g.MustAddEdge("A", "B", expr.Equals("A.k", "B.k"))
+	return g, in
+}
+
+// A first materialization (no matching one to delta-apply) is refused
+// up front when Σ|R_n| — a certain lower bound, since the build pads
+// every singleton subset and never refunds — exceeds the row headroom.
+// At est == headroom the build runs (and here fits exactly); one row
+// short, it refuses before charging anything.
+func TestMaintainRowsFirstBuildBoundaryAtHeadroom(t *testing.T) {
+	g, in := disjointPair()
+	a := in.Relation("A")
+	a.AddValues(value.Int(99))
+	tp := a.At(a.Len() - 1)
+	est, err := estimateRows(g, in, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est != 7 {
+		t.Fatalf("Σ|R_n| = %d, want 7", est)
+	}
+
+	exact := WithBudget(context.Background(), Budget{MaxRows: est})
+	_, mat, mode, err := MaintainRows(exact, nil, g, in, "A", tp, false)
+	if err != nil {
+		t.Fatalf("first build at est == headroom failed: %v", err)
+	}
+	if mode != "recompute" || mat == nil {
+		t.Fatalf("first build maintained via %q (mat %v), want recompute", mode, mat)
+	}
+	if used := budget.FromContext(exact).Rows(); used != est {
+		t.Fatalf("first build charged %d rows, want exactly %d", used, est)
+	}
+
+	under := WithBudget(context.Background(), Budget{MaxRows: est - 1})
+	_, mat, _, err = MaintainRows(under, nil, g, in, "A", tp, false)
+	var be *BudgetError
+	if !errors.As(err, &be) || be.Got != est || mat != nil {
+		t.Fatalf("first build one row short returned %v (mat %v), want a budget error reporting %d rows", err, mat, est)
+	}
+	if used := budget.FromContext(under).Rows(); used != 0 {
+		t.Fatalf("refused build charged %d rows, want 0", used)
 	}
 }

@@ -131,7 +131,7 @@ func RemoveSubsumedBatch(name string, b *Batch) *Relation {
 	if b.Len() == 0 {
 		return out
 	}
-	keep := subsumedKeepBits(b)
+	keep, _ := subsumedKeepBits(b, nil)
 	sel := make([]int32, 0, b.Len())
 	for i := 0; i < b.Len(); i++ {
 		if keep[i] {
@@ -149,7 +149,7 @@ func removeSubsumedColumnar(r *Relation) *Relation {
 	if n <= 1 {
 		return r.Distinct()
 	}
-	keep := subsumedKeepBits(r.Columns())
+	keep, _ := subsumedKeepBits(r.Columns(), nil)
 	out := New(r.Name, r.Scheme())
 	for i := 0; i < n; i++ {
 		if keep[i] {
@@ -159,29 +159,41 @@ func removeSubsumedColumnar(r *Relation) *Relation {
 	return out
 }
 
-// subsumedKeepBits computes, over the physical rows of b, which rows
-// survive duplicate removal (first occurrence wins) and strict
-// subsumption removal.
-func subsumedKeepBits(b *Batch) []bool {
-	n := b.Rows()
-	w := b.Scheme().Arity()
+// keepSource is a run of rows the mask-partitioned kernel
+// (subsumedKeepBits) reads by row id: the physical rows of a Batch
+// (RemoveSubsumed, RemoveSubsumedBatch) or a tuple slice
+// (NewSubsumeSetFrom). Arity must not exceed 64.
+type keepSource interface {
+	// shape returns the row count n and the arity w.
+	shape() (n, w int)
+	// cellHashes fills colh[c*n+i] with cell (i, c) mixed into the
+	// hash seed.
+	cellHashes(colh []uint64)
+	// nonNullMasks sets masks[r], for every listed row r, to the bit
+	// set of r's non-null columns.
+	nonNullMasks(rows []int32, masks []uint64)
+	// equalRows and equalOn confirm hash candidates value by value
+	// (null equal to null), on every column or on the given ones.
+	equalRows(i, j int32) bool
+	equalOn(i, j int32, positions []int) bool
+}
+
+// subsumedKeepBits computes, over the rows of src, which rows survive
+// duplicate removal (first occurrence wins) and strict subsumption
+// removal, and returns the non-null mask of every first occurrence
+// (other rows read zero). When counts is non-nil (length n), it also
+// records each first occurrence's multiplicity there; duplicates read
+// zero, so counts[i] > 0 exactly when row i is a first occurrence, and
+// keep[i] then says whether it is maximal.
+func subsumedKeepBits(src keepSource, counts []int32) (keep []bool, masks []uint64) {
+	n, w := src.shape()
 
 	// Hash every cell once per column up front. Both the dedup pass and
 	// the subsumption probes only need internally consistent bucket
 	// keys, not the canonical chained hash, so this single column sweep
 	// feeds everything below.
-	allRows := make([]int32, n)
-	for i := range allRows {
-		allRows[i] = int32(i)
-	}
 	colh := make([]uint64, w*n)
-	for c := 0; c < w; c++ {
-		dst := colh[c*n : c*n+n]
-		for j := range dst {
-			dst[j] = value.HashSeed()
-		}
-		b.Col(c).mixHashInto(dst, allRows)
-	}
+	src.cellHashes(colh)
 
 	// Whole-row hashes combined from the per-column hashes.
 	hashes := make([]uint64, n)
@@ -189,9 +201,9 @@ func subsumedKeepBits(b *Batch) []bool {
 		hashes[i] = 0x9e3779b97f4a7c15
 	}
 	for c := 0; c < w; c++ {
-		src := colh[c*n : c*n+n]
+		ch := colh[c*n : c*n+n]
 		for i := range hashes {
-			hashes[i] = (hashes[i] ^ src[i]) * 0x9e3779b97f4a7c15
+			hashes[i] = (hashes[i] ^ ch[i]) * 0x9e3779b97f4a7c15
 		}
 	}
 
@@ -205,43 +217,38 @@ func subsumedKeepBits(b *Batch) []bool {
 	}
 	tmask := uint64(tsize - 1)
 	slots := make([]int32, tsize) // row+1; 0 = empty
-	keep := make([]bool, n)
+	keep = make([]bool, n)
 	distinctRows := make([]int32, 0, n)
 	for i := 0; i < n; i++ {
 		h := hashes[i]
 		idx := h & tmask
-		dup := false
+		first := int32(i)
 		for {
 			s := slots[idx]
 			if s == 0 {
 				slots[idx] = int32(i) + 1
 				break
 			}
-			j := int(s) - 1
-			if hashes[j] == h && b.EqualRows(j, b, i) {
-				dup = true
+			j := s - 1
+			if hashes[j] == h && src.equalRows(j, int32(i)) {
+				first = j
 				break
 			}
 			idx = (idx + 1) & tmask
 		}
-		if dup {
+		if counts != nil {
+			counts[first]++
+		}
+		if first != int32(i) {
 			continue
 		}
 		keep[i] = true
 		distinctRows = append(distinctRows, int32(i))
 	}
 
-	// Null masks as plain uint64s, filled column-wise.
-	masks := make([]uint64, n)
-	for c := 0; c < w; c++ {
-		col := b.Col(c)
-		bit := uint64(1) << uint(c)
-		for _, row := range distinctRows {
-			if !col.IsNull(int(row)) {
-				masks[row] |= bit
-			}
-		}
-	}
+	// Null masks as plain uint64s.
+	masks = make([]uint64, n)
+	src.nonNullMasks(distinctRows, masks)
 
 	// Group distinct rows by mask (first-occurrence order).
 	type vgroup struct {
@@ -282,15 +289,6 @@ func subsumedKeepBits(b *Batch) []bool {
 			}
 			return dst
 		}
-		equalOn := func(i, j int32, positions []int) bool {
-			for _, p := range positions {
-				c := b.Col(p)
-				if !c.Value(int(i)).Equal(c.Value(int(j))) {
-					return false
-				}
-			}
-			return true
-		}
 		for _, g := range groups {
 			if g.mask == 0 {
 				// All-null tuples are strictly subsumed by any other
@@ -321,7 +319,7 @@ func subsumedKeepBits(b *Batch) []bool {
 				hh := hashOn(h.rows, g.positions, scratch[:len(h.rows)])
 				for j, hrow := range h.rows {
 					for _, grow := range g.index[hh[j]] {
-						if keep[grow] && equalOn(hrow, grow, g.positions) {
+						if keep[grow] && src.equalOn(hrow, grow, g.positions) {
 							keep[grow] = false
 						}
 					}
@@ -329,7 +327,83 @@ func subsumedKeepBits(b *Batch) []bool {
 			}
 		}
 	}
-	return keep
+	return keep, masks
+}
+
+// A Batch feeds the kernel its physical rows; it must carry no
+// selection vector, so row ids and visible rows coincide.
+
+func (b *Batch) shape() (int, int) { return b.n, len(b.cols) }
+
+func (b *Batch) cellHashes(colh []uint64) {
+	n := b.n
+	allRows := make([]int32, n)
+	for i := range allRows {
+		allRows[i] = int32(i)
+	}
+	for c := range b.cols {
+		dst := colh[c*n : c*n+n]
+		for j := range dst {
+			dst[j] = value.HashSeed()
+		}
+		b.cols[c].mixHashInto(dst, allRows)
+	}
+}
+
+func (b *Batch) nonNullMasks(rows []int32, masks []uint64) {
+	for c := range b.cols {
+		col := &b.cols[c]
+		bit := uint64(1) << uint(c)
+		for _, row := range rows {
+			if !col.IsNull(int(row)) {
+				masks[row] |= bit
+			}
+		}
+	}
+}
+
+func (b *Batch) equalRows(i, j int32) bool { return b.EqualRows(int(i), b, int(j)) }
+
+func (b *Batch) equalOn(i, j int32, positions []int) bool {
+	return b.EqualRowsOn(int(i), b, int(j), positions, positions)
+}
+
+// tupleRows feeds the kernel a tuple slice over one scheme, read in
+// place: no columnar copy.
+type tupleRows []Tuple
+
+func (ts tupleRows) shape() (int, int) {
+	if len(ts) == 0 {
+		return 0, 0
+	}
+	return len(ts), ts[0].scheme.Arity()
+}
+
+func (ts tupleRows) cellHashes(colh []uint64) {
+	n := len(ts)
+	for i, t := range ts {
+		for c, v := range t.vals {
+			colh[c*n+i] = v.MixHash64(value.HashSeed())
+		}
+	}
+}
+
+func (ts tupleRows) nonNullMasks(rows []int32, masks []uint64) {
+	for _, row := range rows {
+		var m uint64
+		for c, v := range ts[row].vals {
+			if !v.IsNull() {
+				m |= 1 << uint(c)
+			}
+		}
+		masks[row] = m
+	}
+}
+
+func (ts tupleRows) equalRows(i, j int32) bool { return ts[i].Equal(ts[j]) }
+
+func (ts tupleRows) equalOn(i, j int32, positions []int) bool {
+	return ts[i].EqualOn(ts[j], positions, positions)
 }
 
 // removeSubsumedWide is the Mask-keyed row-major fallback for schemes

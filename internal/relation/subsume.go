@@ -1,6 +1,11 @@
 package relation
 
-import "sort"
+import (
+	"fmt"
+	"slices"
+	"sort"
+	"strings"
+)
 
 // SubsumeSet maintains the subsumption-maximal tuples of a multiset of
 // equal-scheme tuples under single-tuple inserts and deletes. It is the
@@ -74,31 +79,92 @@ func NewSubsumeSet(s *Scheme) *SubsumeSet {
 	return &SubsumeSet{scheme: s, groups: map[string]*ssGroup{}}
 }
 
-// Len returns the number of distinct live tuples (any count).
-func (s *SubsumeSet) Len() int {
-	n := 0
-	for _, g := range s.groups {
-		for _, es := range g.entries {
-			n += len(es)
+// NewSubsumeSetFrom builds in one pass the set that inserting every
+// tuple of ts, in order, with Insert would build: the same entries,
+// each holding the first occurrence of its tuple, with the same counts,
+// maximal flags, live order and non-null tally. Counts and maximal
+// flags come from the mask-partitioned kernel behind RemoveSubsumed;
+// each group gets only its own-position index (projection indexes are
+// built on first use, as after any Insert); every key is rendered once
+// and live is sorted once. Schemes wider than 64 attributes insert
+// tuple by tuple.
+func NewSubsumeSetFrom(s *Scheme, ts []Tuple) *SubsumeSet {
+	set := NewSubsumeSet(s)
+	if len(ts) == 0 || s.Arity() > 64 {
+		for _, t := range ts {
+			set.Insert(t)
+		}
+		return set
+	}
+	counts := make([]int32, len(ts))
+	keep, masks := subsumedKeepBits(tupleRows(ts), counts)
+	sizes := map[uint64]int{}
+	distinct := 0
+	for i, c := range counts {
+		if c > 0 {
+			sizes[masks[i]]++
+			distinct++
 		}
 	}
-	return n
+	type bulkGroup struct {
+		*ssGroup
+		own *ssSubIndex
+	}
+	groups := make(map[uint64]bulkGroup, len(sizes))
+	for bits, size := range sizes {
+		m := NewMask(s.Arity())
+		if len(m.bits) > 0 {
+			m.bits[0] = bits
+		}
+		k := m.Key()
+		g := newSSGroup(m, k, size)
+		set.groups[k] = g
+		groups[bits] = bulkGroup{g, g.sub[k]}
+	}
+	set.live = make([]*ssEntry, 0, distinct)
+	var buf []byte
+	for i, t := range ts {
+		if counts[i] == 0 {
+			continue
+		}
+		g := groups[masks[i]]
+		buf = t.AppendKey(buf[:0])
+		e := &ssEntry{t: t, key: string(buf), count: int(counts[i]), maximal: keep[i]}
+		h, ph := t.Hash64(), t.HashOn(g.positions)
+		g.entries[h] = append(g.entries[h], e)
+		g.own.buckets[ph] = append(g.own.buckets[ph], e)
+		set.live = append(set.live, e)
+		if masks[i] != 0 {
+			set.liveNonNull++
+		}
+	}
+	slices.SortFunc(set.live, func(a, b *ssEntry) int { return strings.Compare(a.key, b.key) })
+	return set
 }
+
+// Len returns the number of distinct live tuples (any count).
+func (s *SubsumeSet) Len() int { return len(s.live) }
 
 func (s *SubsumeSet) group(m Mask) *ssGroup {
 	k := m.Key()
 	g := s.groups[k]
 	if g == nil {
-		g = &ssGroup{
-			mask:      m,
-			positions: m.Ones(),
-			entries:   map[uint64][]*ssEntry{},
-			sub:       map[string]*ssSubIndex{},
-		}
-		g.sub[k] = &ssSubIndex{positions: g.positions, buckets: map[uint64][]*ssEntry{}}
+		g = newSSGroup(m, k, 0)
 		s.groups[k] = g
 	}
 	return g
+}
+
+// newSSGroup returns an empty group for mask m (whose key is k) with
+// room for size entries and its own-position index in place.
+func newSSGroup(m Mask, k string, size int) *ssGroup {
+	positions := m.Ones()
+	return &ssGroup{
+		mask:      m,
+		positions: positions,
+		entries:   make(map[uint64][]*ssEntry, size),
+		sub:       map[string]*ssSubIndex{k: {positions: positions, buckets: make(map[uint64][]*ssEntry, size)}},
+	}
 }
 
 // find returns the live entry Equal to t, or nil.
@@ -332,6 +398,23 @@ func (s *SubsumeSet) Delete(t Tuple) bool {
 		}
 	})
 	return true
+}
+
+// String renders the set's whole state for diagnostics and
+// differential tests: every live entry in key order with its
+// canonical key and count, "*" marking the maximal ones, then the
+// non-null tally.
+func (s *SubsumeSet) String() string {
+	var b strings.Builder
+	for _, e := range s.live {
+		mark := " "
+		if e.maximal {
+			mark = "*"
+		}
+		fmt.Fprintf(&b, "%s%v %q x%d\n", mark, e.t, e.key, e.count)
+	}
+	fmt.Fprintf(&b, "non-null %d\n", s.liveNonNull)
+	return b.String()
 }
 
 // Rel materializes the current maximal tuples as a relation sorted by

@@ -445,3 +445,55 @@ func TestWatchCursorAheadOfFeedAnswersAtOnce(t *testing.T) {
 		t.Errorf("next = %d, want the restarted feed's 1", next)
 	}
 }
+
+// A row edit reaches the chase, and a journal-replayed session answers
+// the chase as the live one did: the replayed rows op updates the value
+// index exactly like the original.
+func TestJournalReplayChaseSeesRowEdits(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{JournalDir: dir}
+	s1 := New(cfg)
+	ts1 := httptest.NewServer(s1.Handler())
+	id := newPaperSession(t, ts1)
+	mustCall(t, ts1, "POST", "/api/sessions/"+id+"/corr",
+		map[string]any{"spec": "Children.ID -> Kids.ID"})
+	mustCall(t, ts1, "POST", "/api/sessions/"+id+"/rows",
+		map[string]any{"relation": "SBPS", "values": []string{"777", "-", "-"}})
+	chase := map[string]any{"column": "Children.ID", "value": "777"}
+	live := mustCall(t, ts1, "POST", "/api/sessions/"+id+"/chase", chase)
+	if ws, _ := live["workspaces"].([]any); len(ws) != 1 {
+		t.Fatalf("chase after the insert offers %v, want one workspace", live["workspaces"])
+	}
+	want := sessionFingerprint(t, s1, ts1, id)
+	ts1.Close()
+
+	s2 := New(cfg)
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	got := sessionFingerprint(t, s2, ts2, id)
+	if !reflect.DeepEqual(got["workspaces"], want["workspaces"]) || got["oplog"] != want["oplog"] {
+		t.Fatalf("replayed session differs:\n--- want\n%v\n%v\n--- got\n%v\n%v",
+			want["workspaces"], want["oplog"], got["workspaces"], got["oplog"])
+	}
+	// Undo the chase and ask again on the replayed server; only the
+	// workspace IDs, which count up per session, may differ.
+	mustCall(t, ts2, "POST", "/api/sessions/"+id+"/undo", nil)
+	again := mustCall(t, ts2, "POST", "/api/sessions/"+id+"/chase", chase)
+	withoutIDs := func(ws any) []any {
+		var out []any
+		list, _ := ws.([]any)
+		for _, w := range list {
+			m := map[string]any{}
+			for k, v := range w.(map[string]any) {
+				if k != "id" {
+					m[k] = v
+				}
+			}
+			out = append(out, m)
+		}
+		return out
+	}
+	if a, b := withoutIDs(again["workspaces"]), withoutIDs(live["workspaces"]); !reflect.DeepEqual(a, b) {
+		t.Fatalf("replayed chase offers %v, live session offered %v", a, b)
+	}
+}

@@ -3,9 +3,14 @@ package workspace
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"clio/internal/core"
+	"clio/internal/datagen"
+	"clio/internal/discovery"
 	"clio/internal/fault"
 	"clio/internal/fd"
 	"clio/internal/obs"
@@ -125,12 +130,20 @@ func TestApplyRowsDeltaMatchesColdRebuild(t *testing.T) {
 	}
 }
 
-// A maintenance failure (here: the delta application dying on a budget
-// violation) must roll the instance mutation back — a failed rows op
-// is all-or-nothing, which is what lets journal replay re-execute only
-// acknowledged work. Next edits and views behave as if the failed op
-// never happened.
+// A maintenance failure must roll the instance mutation back — a
+// failed rows op is all-or-nothing, which is what lets journal replay
+// re-execute only acknowledged work. Next edits and views behave as if
+// the failed op never happened. Covered: the delta application dying
+// on a budget violation, and a session's first materialization hit by
+// a budget abort, a cancellation or an injected panic.
 func TestChaosRowsBudgetAbortRollsBackInstance(t *testing.T) {
+	t.Run("delta", testRowsDeltaBudgetAbortRollsBack)
+	testRowsFirstBuildFailureRollsBack(t)
+}
+
+// testRowsDeltaBudgetAbortRollsBack kills the delta application of a
+// session's second edit with a budget error.
+func testRowsDeltaBudgetAbortRollsBack(t *testing.T) {
 	ctx := context.Background()
 	tl := mappedTool(t, paperdb.Instance())
 	// Prime the materialization so the next edit takes the delta path.
@@ -160,6 +173,9 @@ func TestChaosRowsBudgetAbortRollsBackInstance(t *testing.T) {
 	if children.Version() == beforeVersion {
 		t.Fatal("rollback should still bump the version (mutation happened and was undone)")
 	}
+	if tl.Active().dgm != nil {
+		t.Fatal("a failed delta left its materialization in place; it may be half-applied")
+	}
 
 	// The tool recovers: the same edit succeeds once the fault is gone,
 	// and the view matches a cold rebuild over the final content.
@@ -179,5 +195,249 @@ func TestChaosRowsBudgetAbortRollsBackInstance(t *testing.T) {
 	}
 	if view.String() != coldView.String() {
 		t.Fatalf("post-recovery view differs from cold rebuild:\n%v\nvs\n%v", view, coldView)
+	}
+}
+
+// testRowsFirstBuildFailureRollsBack fails a session's first
+// materialization (no materialization exists yet, so MaintainRows
+// builds one) with a budget abort mid-build, a cancellation, and an
+// injected panic, which keeps unwinding. Each leaves the instance, the
+// active workspace's D(G) and view memo, and the fd memo cache as they
+// were before the edit.
+func testRowsFirstBuildFailureRollsBack(t *testing.T) {
+	prev := fd.SetCacheCapacity(64)
+	defer fd.SetCacheCapacity(prev)
+	defer fd.InvalidateCache()
+	rowB := rowVals("013", "Omar", "9", "102", "103", "d1")
+	cases := []struct {
+		name string
+		// fail runs the edit and reports a failure of the wrong kind.
+		fail func(t *testing.T, tl *Tool)
+	}{
+		{"budget abort mid-build", func(t *testing.T, tl *Tool) {
+			// Σ|R_n| passes the up-front check; the joins' associations
+			// push the build past it.
+			children := tl.Instance.Relation("Children").Len() + 1
+			est := int64(children + tl.Instance.Relation("Parents").Len() + tl.Instance.Relation("PhoneDir").Len())
+			ctx := fd.WithBudget(context.Background(), fd.Budget{MaxRows: est})
+			err := tl.ApplyRows(ctx, "Children", rowB, false)
+			if rows, _ := fd.BudgetUsed(ctx); !errors.Is(err, fd.ErrBudgetExceeded) || rows == 0 {
+				t.Fatalf("want a budget abort after charging, got %v with %d rows charged", err, rows)
+			}
+		}},
+		{"cancellation", func(t *testing.T, tl *Tool) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if err := tl.ApplyRows(ctx, "Children", rowB, false); !errors.Is(err, context.Canceled) {
+				t.Fatalf("want a cancellation, got %v", err)
+			}
+		}},
+		{"injected panic", func(t *testing.T, tl *Tool) {
+			fault.Enable(1)
+			defer fault.Disable()
+			fault.Set("fd.materialize", fault.Spec{Mode: fault.ModePanic, After: 2, Times: 1})
+			defer func() {
+				if p, ok := recover().(*fault.Panic); !ok {
+					t.Fatalf("want an injected panic, recovered %v", p)
+				}
+			}()
+			err := tl.ApplyRows(context.Background(), "Children", rowB, false)
+			t.Fatalf("edit returned %v instead of panicking", err)
+		}},
+	}
+	for _, c := range cases {
+		t.Run("first build/"+c.name, func(t *testing.T) {
+			fd.InvalidateCache()
+			tl := mappedTool(t, paperdb.Instance())
+			view, err := tl.TargetView(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			act := tl.Active()
+			if act.dgm != nil {
+				t.Fatal("fixture already has a materialization")
+			}
+			children := tl.Instance.Relation("Children")
+			before, dg, memo, cached := children.String(), act.dg, act.view.rel, fd.CacheLen()
+
+			c.fail(t, tl)
+			if children.String() != before {
+				t.Fatalf("failed first build left the instance mutated:\n%v", children)
+			}
+			if act.dg != dg || act.view.rel != memo || act.dgm != nil {
+				t.Fatal("failed first build touched the active workspace's D(G), view memo or materialization")
+			}
+			if fd.CacheLen() != cached {
+				t.Fatalf("failed first build changed the fd memo cache: %d entries, want %d", fd.CacheLen(), cached)
+			}
+			// The rollback moves the instance version, so the memo no
+			// longer answers; the recomputed view must read the same.
+			got, err := tl.TargetView(context.Background())
+			if err != nil || got.String() != view.String() {
+				t.Fatalf("view after the failed edit differs (err %v):\n%v\nwant:\n%v", err, got, view)
+			}
+			// The session recovers: the edit applies once the fault is gone.
+			if err := tl.ApplyRows(context.Background(), "Children", rowB, false); err != nil {
+				t.Fatalf("edit after recovery failed: %v", err)
+			}
+		})
+	}
+}
+
+// checkIndexMatchesScan compares the tool's value index with a scan of
+// its live instance for every value in vals.
+func checkIndexMatchesScan(t *testing.T, tl *Tool, vals map[string]value.Value, when string) {
+	t.Helper()
+	for _, v := range vals {
+		got, want := tl.Index.Occurrences(v), discovery.OccurrencesScan(tl.Instance, v)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Occurrences(%v) = %v, scan says %v", when, v, got, want)
+		}
+	}
+}
+
+// The chase's value index follows row edits: after every edit of a
+// random insert/delete sequence — duplicate rows, NULL cells, and
+// deletes of a value's last occurrence included — Occurrences agrees
+// with a scan of the live instance for every value ever present, and a
+// slice Occurrences returned earlier never changes.
+func TestApplyRowsKeepsValueIndexCurrent(t *testing.T) {
+	ctx := context.Background()
+	chain := datagen.Chain(datagen.ChainSpec{Relations: 3, Rows: 12, KeySpace: 5, MatchProb: 0.7, Seed: 11})
+	chainTool := New(ctx, chain.Instance, chain.Target, false)
+	if err := chainTool.Start("chain"); err != nil {
+		t.Fatal(err)
+	}
+	if err := chainTool.AddCorrespondence(ctx, chain.Mapping.Corrs[0]); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		tl   *Tool
+	}{{"paperdb", mappedTool(t, paperdb.Instance())}, {"chain", chainTool}} {
+		t.Run(tc.name, func(t *testing.T) {
+			tl := tc.tl
+			rng := rand.New(rand.NewSource(17))
+			vals := map[string]value.Value{}
+			note := func(tp relation.Tuple) {
+				for i := 0; i < tp.Scheme().Arity(); i++ {
+					if v := tp.At(i); !v.IsNull() {
+						vals[v.Key()] = v
+					}
+				}
+			}
+			rels := tl.Instance.Relations()
+			for _, r := range rels {
+				for _, tp := range r.Tuples() {
+					note(tp)
+				}
+			}
+			checkIndexMatchesScan(t, tl, vals, "before any edit")
+			var held []discovery.Occurrence
+			var heldCopy []discovery.Occurrence
+			for step := 0; step < 60; step++ {
+				r := rels[rng.Intn(len(rels))]
+				var cells []value.Value
+				del := r.Len() > 0 && rng.Intn(2) == 0
+				if del {
+					src := r.At(rng.Intn(r.Len()))
+					for i := 0; i < src.Scheme().Arity(); i++ {
+						cells = append(cells, src.At(i))
+					}
+				} else {
+					// A copy of an existing row (a duplicate), with some
+					// cells nulled or replaced by a fresh value.
+					src := r.At(rng.Intn(r.Len()))
+					for i := 0; i < src.Scheme().Arity(); i++ {
+						v := src.At(i)
+						switch rng.Intn(4) {
+						case 0:
+							v = value.Null
+						case 1:
+							v = value.Int(int64(900 + rng.Intn(5)))
+						}
+						cells = append(cells, v)
+					}
+				}
+				tp := relation.NewTuple(r.Scheme(), cells...)
+				note(tp)
+				if err := tl.ApplyRows(ctx, r.Name, cells, del); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				checkIndexMatchesScan(t, tl, vals, fmt.Sprintf("step %d", step))
+				if !reflect.DeepEqual(held, heldCopy) {
+					t.Fatalf("step %d: a slice Occurrences returned earlier changed: %v, was %v", step, held, heldCopy)
+				}
+				if v := tp.At(0); !v.IsNull() {
+					held = tl.Index.Occurrences(v)
+					heldCopy = append([]discovery.Occurrence(nil), held...)
+				}
+			}
+		})
+	}
+}
+
+// A row edit reaches the chase: after inserting SBPS (777, -, -), a
+// session with one correspondence offers the SBPS workspace, exactly
+// as a fresh tool over the edited instance does. A rolled-back edit
+// never reaches the index.
+func TestChaseSeesRowEdits(t *testing.T) {
+	ctx := context.Background()
+	start := func(in *relation.Instance) *Tool {
+		tl := New(ctx, in, paperdb.Kids(), false)
+		if err := tl.Start("kids"); err != nil {
+			t.Fatal(err)
+		}
+		if err := tl.AddCorrespondence(ctx, core.Identity("Children.ID", schema.Col("Kids", "ID"))); err != nil {
+			t.Fatal(err)
+		}
+		return tl
+	}
+	row := rowVals("777", "-", "-")
+	notes := func(tl *Tool) []string {
+		var out []string
+		for _, w := range tl.Workspaces() {
+			out = append(out, w.Note+" | "+w.Mapping.String())
+		}
+		return out
+	}
+
+	tl := start(paperdb.Instance())
+	// A Children edit the budget refuses is rolled back and must not
+	// leave 777 behind in the index.
+	tight := fd.WithBudget(ctx, fd.Budget{MaxRows: 1})
+	if err := tl.ApplyRows(tight, "Children", rowVals("777", "Kim", "4", "100", "101", "d9"), false); !errors.Is(err, fd.ErrBudgetExceeded) {
+		t.Fatalf("edit under a 1-row budget returned %v, want a budget error", err)
+	}
+	if occ := tl.Index.Occurrences(value.Int(777)); occ != nil {
+		t.Fatalf("index holds %v for a row that is not in the instance", occ)
+	}
+
+	if err := tl.ApplyRows(ctx, "SBPS", row, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := tl.Chase(ctx, "Children.ID", value.Int(777)); err != nil {
+		t.Fatalf("chase after the insert: %v", err)
+	}
+	in := paperdb.Instance()
+	in.Relation("SBPS").AddValues(row...)
+	fresh := start(in)
+	if err := fresh.Chase(ctx, "Children.ID", value.Int(777)); err != nil {
+		t.Fatalf("chase on a fresh tool: %v", err)
+	}
+	if got, want := notes(tl), notes(fresh); len(want) != 1 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("edited session offers %q, fresh tool %q (want one workspace)", got, want)
+	}
+
+	// Deleting the row takes 777 out again.
+	tl2 := start(paperdb.Instance())
+	if err := tl2.ApplyRows(ctx, "SBPS", row, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := tl2.ApplyRows(ctx, "SBPS", row, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := tl2.Chase(ctx, "Children.ID", value.Int(777)); err == nil {
+		t.Fatal("chase found 777 after its only row was deleted")
 	}
 }

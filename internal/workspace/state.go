@@ -17,10 +17,11 @@ import (
 // snapshot instead of total session history.
 //
 // The source instance, join knowledge, and value index are NOT part of
-// the state: they belong to session creation (and any replayed row
-// ops), which the owner re-executes before calling RestoreState. That
-// mirrors a live session exactly: knowledge and index are built once
-// at construction and do not chase later row inserts.
+// the state: they belong to session creation and the row ops, which
+// the owner re-executes before calling RestoreState. That mirrors a
+// live session exactly: knowledge is built once at construction, and
+// the value index follows every successful row edit, so re-executed
+// row ops leave it as the live session had it.
 
 // ToolState is the serializable canonical state of a Tool.
 type ToolState struct {

@@ -423,10 +423,11 @@ func (t *Tool) TargetView(ctx context.Context) (*relation.Relation, error) {
 // cached D(G) (they recompute on next activation); the active one is
 // delta-maintained.
 //
-// On a maintenance failure (budget abort, cancellation) the instance
-// mutation is rolled back, so a failed edit leaves the session exactly
-// as it was — the journal-replay invariant depends on ops being
-// all-or-nothing.
+// On a maintenance failure (budget abort, cancellation, or a panic,
+// which keeps unwinding) the instance mutation is rolled back, so a
+// failed edit leaves the session exactly as it was — the journal-replay
+// invariant depends on ops being all-or-nothing. Only a successful edit
+// reaches the chase's value index.
 func (t *Tool) ApplyRows(ctx context.Context, relName string, vals []value.Value, del bool) (err error) {
 	ctx, span := obs.StartSpan(ctx, "workspace.rows")
 	defer span.End()
@@ -456,7 +457,11 @@ func (t *Tool) ApplyRows(ctx context.Context, relName string, vals []value.Value
 	} else {
 		rel.Add(tup)
 	}
-	if merr := t.maintainRowsLocked(ctx, relName, tup, del); merr != nil {
+	done := false
+	defer func() {
+		if done {
+			return
+		}
 		// Roll back the instance mutation: the op is journaled only on
 		// success, so the instance and the journal must agree.
 		if del {
@@ -464,8 +469,12 @@ func (t *Tool) ApplyRows(ctx context.Context, relName string, vals []value.Value
 		} else {
 			rel.RemoveAt(rel.Len() - 1)
 		}
-		return merr
+	}()
+	if err := t.maintainRowsLocked(ctx, relName, tup, del); err != nil {
+		return err
 	}
+	t.Index.ApplyRow(tup, del)
+	done = true
 	return nil
 }
 
@@ -493,12 +502,14 @@ func (t *Tool) maintainRowsLocked(ctx context.Context, base string, tup relation
 		obs.Note(ctx, "dg_maint", "none")
 		return nil
 	}
-	dg, mat, _, err := fd.MaintainRows(ctx, act.dgm, act.Mapping.Graph, t.Instance, base, tup, del)
+	// A delta may half-apply before it fails or panics, so the old
+	// materialization is dead unless maintenance hands one back. The
+	// caller rolls the instance back, so the old act.dg still describes
+	// the (restored) state and stays.
+	mat := act.dgm
+	act.dgm = nil
+	dg, mat, _, err := fd.MaintainRows(ctx, mat, act.Mapping.Graph, t.Instance, base, tup, del)
 	if err != nil {
-		// A delta may have half-applied; the materialization is dead
-		// either way. The caller rolls the instance back, so the old
-		// act.dg still describes the (restored) state and stays.
-		act.dgm = nil
 		return err
 	}
 	act.dg, act.dgm, act.view = dg, mat, viewMemo{}
