@@ -25,6 +25,7 @@ import (
 
 	"clio/internal/algebra"
 	"clio/internal/core"
+	"clio/internal/csvio"
 	"clio/internal/datagen"
 	"clio/internal/discovery"
 	"clio/internal/expr"
@@ -424,12 +425,13 @@ func e8() {
 		cfgs = []cfg{{4, 4, 200}, {8, 4, 200}}
 	}
 	header("E8", "knowledge discovery: IND mining over schema width and rows",
-		"relations", "cols", "rows", "INDs", "mine time")
+		"relations", "cols", "rows", "INDs", "mine time", "edges", "knowledge time")
 	for _, c := range cfgs {
 		in := datagen.WideInstance(c.rels, c.cols, c.rows, c.rows/4+1, 5)
-		var n int
+		var n, edges int
 		t := measure(func() { n = len(discovery.DiscoverINDs(ctx, in, 0.95)) })
-		row(c.rels, c.cols, c.rows, n, t)
+		tk := measure(func() { edges = len(discovery.BuildKnowledge(ctx, in, true, 0.95).Edges()) })
+		row(c.rels, c.cols, c.rows, n, t, edges, tk)
 	}
 }
 
@@ -442,8 +444,9 @@ func e10() {
 	joinRows := 5000
 	muRows := 2000
 	chainRows := 400
+	createRows := 2000
 	if *quick {
-		joinRows, muRows, chainRows = 500, 300, 100
+		joinRows, muRows, chainRows, createRows = 500, 300, 100, 200
 	}
 	header("E10", "execution core: D(G), hash join, minimum union, distinct kernels",
 		"workload", "in rows", "out rows", "time", "allocs/op")
@@ -510,6 +513,28 @@ func e10() {
 	})
 	row("chain-4 edit recompute", chainRows*4, dg.Len(), tRecomp, allocsRecomp)
 	row("chain-4 edit speedup", "-", "-", ratio(tRecomp.Median, tDelta.Median), "-")
+
+	// Session create: load a five-relation source from CSV and build
+	// its join knowledge with IND mining, as a serve session does.
+	csvDir, err := os.MkdirTemp("", "cliobench-csv-")
+	if err != nil {
+		panic(err)
+	}
+	defer os.RemoveAll(csvDir)
+	shop := datagen.ECommerce(datagen.ECommerceSpec{Customers: createRows / 4, Orders: createRows / 2,
+		LinesPerOrder: 3, Products: createRows / 8, ShipRate: 0.7, Seed: 17})
+	if err := csvio.SaveDir(csvDir, shop); err != nil {
+		panic(err)
+	}
+	var edges int
+	t, allocs = measureAllocs(func() {
+		in, err := csvio.LoadDir(csvDir)
+		if err != nil {
+			panic(err)
+		}
+		edges = len(discovery.BuildKnowledge(ctx, in, true, 1).Edges())
+	})
+	row("create: csv load + mine", shop.TotalTuples(), edges, t, allocs)
 
 	// Hash join: equi-join of two synthetic relations.
 	l, r := joinPair(joinRows)

@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
@@ -117,7 +118,13 @@ func (e *Error) Is(target error) bool { return target == ErrExceeded }
 // tuples move to disk or transient batches are released, so the caps
 // bound the state resident in memory at any moment instead.
 type Tracker struct {
-	b     Budget
+	b Budget
+	// mu makes each charge's check and commit one step, so an amount
+	// that is refused is never seen by another charger. Refunds only
+	// lower the counters, so they skip mu: a refund that lands during a
+	// charge's check can only make the check stricter, and charges
+	// commit with Add, so the refund is never overwritten.
+	mu    sync.Mutex
 	rows  atomic.Int64
 	bytes atomic.Int64
 	// spill tracks bytes currently resident in spill files; parts
@@ -151,27 +158,30 @@ func NewTracker(b Budget) *Tracker {
 }
 
 // Charge reserves rows/bytes for newly materialized tuples and
-// returns a *Error if either limit would be exceeded. A failed charge
-// is rolled back — callers drop the tuple on error, so the counters
+// returns a *Error if either limit would be exceeded. A refused charge
+// is never applied — callers drop the tuple on error, so the counters
 // track resources actually retained, which keeps Rows()/Bytes()
 // within the caps even under concurrent workers racing past the
-// limit. Safe for concurrent use.
+// limit, and a refusal never makes a concurrent charge that fits
+// fail. Safe for concurrent use.
 func (t *Tracker) Charge(rows, bytes int64) error {
 	if t == nil {
 		return nil
 	}
-	r := t.rows.Add(rows)
-	by := t.bytes.Add(bytes)
+	t.mu.Lock()
+	r := t.rows.Load() + rows
+	by := t.bytes.Load() + bytes
 	if t.b.MaxRows > 0 && r > t.b.MaxRows {
-		t.rows.Add(-rows)
-		t.bytes.Add(-bytes)
+		t.mu.Unlock()
 		return &Error{Limit: "rows", Max: t.b.MaxRows, Got: r, Spill: t.SpillState()}
 	}
 	if t.b.MaxBytes > 0 && by > t.b.MaxBytes {
-		t.rows.Add(-rows)
-		t.bytes.Add(-bytes)
+		t.mu.Unlock()
 		return &Error{Limit: "bytes", Max: t.b.MaxBytes, Got: by, Spill: t.SpillState()}
 	}
+	t.rows.Add(rows)
+	t.bytes.Add(bytes)
+	t.mu.Unlock()
 	return nil
 }
 
@@ -187,14 +197,16 @@ func (t *Tracker) ChargeHeadroom(rows, bytes, slackRows, slackBytes int64) bool 
 	if t == nil {
 		return true
 	}
-	r := t.rows.Add(rows)
-	by := t.bytes.Add(bytes)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	r := t.rows.Load() + rows
+	by := t.bytes.Load() + bytes
 	if (t.b.MaxRows > 0 && r > t.b.MaxRows-slackRows) ||
 		(t.b.MaxBytes > 0 && by > t.b.MaxBytes-slackBytes) {
-		t.rows.Add(-rows)
-		t.bytes.Add(-bytes)
 		return false
 	}
+	t.rows.Add(rows)
+	t.bytes.Add(bytes)
 	return true
 }
 
@@ -230,16 +242,21 @@ func (t *Tracker) SpillState() string {
 
 // ChargeSpill reserves bytes of spill-file capacity. It fails with a
 // typed *Error (Limit "spill", Spill state SpillDiskCap) when the
-// MaxSpillBytes cap would be exceeded; the failed charge is rolled
-// back, mirroring Charge.
+// MaxSpillBytes cap would be exceeded; like Charge, a refused amount
+// is never applied.
 func (t *Tracker) ChargeSpill(bytes int64) error {
 	if t == nil {
 		return nil
 	}
-	got := t.spill.Add(bytes)
-	if t.b.MaxSpillBytes > 0 && got > t.b.MaxSpillBytes {
-		t.spill.Add(-bytes)
-		return &Error{Limit: "spill", Max: t.b.MaxSpillBytes, Got: got, Spill: SpillDiskCap}
+	for {
+		cur := t.spill.Load()
+		got := cur + bytes
+		if t.b.MaxSpillBytes > 0 && got > t.b.MaxSpillBytes {
+			return &Error{Limit: "spill", Max: t.b.MaxSpillBytes, Got: got, Spill: SpillDiskCap}
+		}
+		if t.spill.CompareAndSwap(cur, got) {
+			break
+		}
 	}
 	t.written.Add(bytes)
 	return nil
@@ -463,9 +480,9 @@ func FromContext(ctx context.Context) *Tracker {
 // charges cumulatively, exactly like calling Tracker.Charge directly.
 // With spilling enabled the batches are transient — the consumer either
 // retains them under its own sink charges or spills them — so each
-// Charge first refunds the previous batch: at any moment one in-flight
-// batch per operator is resident, not the whole stream. Not safe for
-// concurrent use (one Flow per iterator).
+// Charge replaces the previous batch's charge: at any moment one
+// in-flight batch per operator is resident, not the whole stream. Not
+// safe for concurrent use (one Flow per iterator).
 type Flow struct {
 	t          *Tracker
 	rows, byts int64
@@ -488,9 +505,12 @@ func (f *Flow) Charge(rows, bytes int64) error {
 	if !f.t.SpillEnabled() {
 		return f.t.Charge(rows, bytes)
 	}
-	f.t.Refund(f.rows, f.byts)
-	f.rows, f.byts = 0, 0
-	if err := f.t.Charge(rows, bytes); err != nil {
+	// Charge the difference in one step rather than refunding the old
+	// batch first: a concurrent charger (the Grace join's prefetch)
+	// must never take the old batch's room before the new one is in.
+	if err := f.t.Charge(rows-f.rows, bytes-f.byts); err != nil {
+		f.t.Refund(f.rows, f.byts)
+		f.rows, f.byts = 0, 0
 		return err
 	}
 	f.rows, f.byts = rows, bytes

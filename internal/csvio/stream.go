@@ -47,6 +47,9 @@ func OpenStream(name string, r io.Reader) (*Stream, error) {
 	}
 	cr := csv.NewReader(r)
 	cr.TrimLeadingSpace = true
+	// Each record's field strings are freshly allocated even when the
+	// record slice is reused, so tuples may keep them.
+	cr.ReuseRecord = true
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("csvio: reading header of %s: %w", name, err)
@@ -108,16 +111,13 @@ func (st *Stream) Next() ([]relation.Tuple, error) {
 			if i < len(rec) {
 				vals[i] = value.Parse(strings.TrimSpace(rec[i]))
 			}
-		}
-		t := relation.NewTuple(st.s, vals...)
-		for i := range st.attrs {
-			if st.attrs[i].Type == value.KindNull {
-				if v := t.At(i); !v.IsNull() {
-					st.attrs[i].Type = v.Kind()
-				}
+			if st.attrs[i].Type == value.KindNull && !vals[i].IsNull() {
+				st.attrs[i].Type = vals[i].Kind()
 			}
 		}
-		st.buf = append(st.buf, t)
+		// vals is fresh per row and never written again, so the tuple
+		// takes it over instead of copying it.
+		st.buf = append(st.buf, relation.BorrowTuple(st.s, vals))
 		st.rows++
 	}
 	if len(st.buf) == 0 {

@@ -7,9 +7,13 @@
 package discovery
 
 import (
+	"cmp"
 	"context"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"clio/internal/fault"
@@ -106,60 +110,95 @@ func DiscoverINDs(ctx context.Context, in *relation.Instance, minOverlap float64
 	}
 	start := time.Now()
 	defer hINDMineNS.ObserveSince(start)
-	type colSet struct {
+	// SPIDER-style unary IND test (Bauckmann et al., ICDE 2007): every
+	// distinct value gets one dense id, each column becomes the bitset
+	// of its ids, and a pair's hits are the size of an intersection.
+	type column struct {
 		ref  schema.ColumnRef
+		name string // ref.String(), the sort key
 		rel  string
-		vals map[string]struct{}
+		ids  []int32 // one per non-null cell, duplicates included
+		lo   int     // first bitset word the column's ids reach
+		set  []uint64
+		n    int // distinct non-null values
 	}
-	var cols []colSet
+	it := newInterner()
+	var cols []column
 	for _, r := range in.Relations() {
-		for _, qn := range r.Scheme().Names() {
+		for pos, qn := range r.Scheme().Names() {
 			ref, err := schema.ParseColumnRef(qn)
 			if err != nil {
 				continue
 			}
-			pos := r.Scheme().Index(qn)
-			set := map[string]struct{}{}
+			var ids []int32
 			for _, t := range r.Tuples() {
 				if v := t.At(pos); !v.IsNull() {
-					set[v.Key()] = struct{}{}
+					ids = append(ids, it.id(v))
 				}
 			}
-			if len(set) > 0 {
-				cols = append(cols, colSet{ref: ref, rel: r.Name, vals: set})
+			if len(ids) > 0 {
+				cols = append(cols, column{ref: ref, name: ref.String(), rel: r.Name, ids: ids})
 			}
 		}
 	}
+	for i := range cols {
+		c := &cols[i]
+		lo, hi := int(slices.Min(c.ids)>>6), int(slices.Max(c.ids)>>6)
+		c.lo, c.set = lo, make([]uint64, hi-lo+1)
+		for _, id := range c.ids {
+			c.set[int(id>>6)-lo] |= 1 << (id & 63)
+		}
+		for _, w := range c.set {
+			c.n += bits.OnesCount64(w)
+		}
+		c.ids = nil
+	}
 	span.SetInt("columns", int64(len(cols)))
-	var out []IND
+	type found struct {
+		from, to *column
+		overlap  float64
+	}
+	var inds []found
 	var pairs int64
-	for i, from := range cols {
-		for j, to := range cols {
+	for i := range cols {
+		from := &cols[i]
+		for j := range cols {
+			to := &cols[j]
 			if i == j || from.rel == to.rel {
 				continue
 			}
 			pairs++
-			hits := 0
-			for k := range from.vals {
-				if _, ok := to.vals[k]; ok {
-					hits++
-				}
+			// hits ≤ |to|, so a pair whose overlap could not reach
+			// minOverlap even at full hits is skipped. The division
+			// matches the overlap's own, so no pair near the
+			// threshold is lost to rounding.
+			if float64(to.n)/float64(from.n) < minOverlap {
+				continue
 			}
-			overlap := float64(hits) / float64(len(from.vals))
+			hits := 0
+			lo, hi := max(from.lo, to.lo), min(from.lo+len(from.set), to.lo+len(to.set))
+			for w := lo; w < hi; w++ {
+				hits += bits.OnesCount64(from.set[w-from.lo] & to.set[w-to.lo])
+			}
+			overlap := float64(hits) / float64(from.n)
 			if hits > 0 && overlap >= minOverlap {
-				out = append(out, IND{From: from.ref, To: to.ref, Overlap: overlap})
+				inds = append(inds, found{from: from, to: to, overlap: overlap})
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Overlap != out[j].Overlap {
-			return out[i].Overlap > out[j].Overlap
+	slices.SortFunc(inds, func(a, b found) int {
+		if a.overlap != b.overlap {
+			return cmp.Compare(b.overlap, a.overlap)
 		}
-		if out[i].From.String() != out[j].From.String() {
-			return out[i].From.String() < out[j].From.String()
+		if c := strings.Compare(a.from.name, b.from.name); c != 0 {
+			return c
 		}
-		return out[i].To.String() < out[j].To.String()
+		return strings.Compare(a.to.name, b.to.name)
 	})
+	var out []IND
+	for _, f := range inds {
+		out = append(out, IND{From: f.from.ref, To: f.to.ref, Overlap: f.overlap})
+	}
 	cINDPairs.Add(pairs)
 	cINDsMined.Add(int64(len(out)))
 	span.SetInt("pairs", pairs)
@@ -200,15 +239,22 @@ type Occurrence struct {
 
 // ValueIndex is an inverted index from values to the columns that
 // contain them; it answers the data chase's "where else does this
-// value occur?" in O(1) per value. ApplyRow keeps it current under row
-// edits; it must not run concurrently with other calls on the index.
+// value occur?" in O(1) per value. A built index is a snapshot of the
+// instance it was built from; an index made by ScanIndex reads the
+// instance as it is at each lookup instead.
 type ValueIndex struct {
 	occ map[string][]Occurrence
-	// scanFallback is set when the index build was degraded by an
-	// injected fault: lookups fall back to a full instance scan, so
-	// answers stay correct at reduced speed.
+	// scanFallback is set for an index with nothing built (ScanIndex,
+	// which a faulted build degrades to): lookups run OccurrencesScan
+	// over the live instance.
 	scanFallback *relation.Instance
 }
+
+// ScanIndex returns an index with nothing built: every lookup scans in
+// as it is at that moment, so row edits need no maintenance. Sessions
+// chase through it, because at their sizes a scan per chase costs less
+// than building the index. A faulted BuildValueIndex degrades to it.
+func ScanIndex(in *relation.Instance) *ValueIndex { return &ValueIndex{scanFallback: in} }
 
 // BuildValueIndex indexes every non-null value of every column.
 func BuildValueIndex(ctx context.Context, in *relation.Instance) *ValueIndex {
@@ -220,7 +266,7 @@ func BuildValueIndex(ctx context.Context, in *relation.Instance) *ValueIndex {
 	if err := fault.Inject("discovery.value_index"); err != nil {
 		cIndexDegraded.Inc()
 		span.SetBool("degraded", true)
-		return &ValueIndex{scanFallback: in}
+		return ScanIndex(in)
 	}
 	start := time.Now()
 	defer hIndexNS.ObserveSince(start)
@@ -266,56 +312,17 @@ func (ix *ValueIndex) Occurrences(v value.Value) []Occurrence {
 	return ix.occ[v.Key()]
 }
 
-// ApplyRow folds one row edit into the occurrence counts: t was
-// inserted into (del=false) or deleted from (del=true) the relation
-// its scheme describes. Updates are copy-on-write, so a slice that
-// Occurrences returned earlier never changes. A value's last
-// occurrence leaves the index. The scan-fallback index reads the live
-// instance and needs nothing.
-func (ix *ValueIndex) ApplyRow(t relation.Tuple, del bool) {
-	if ix.scanFallback != nil {
-		return
-	}
-	for pos, qn := range t.Scheme().Names() {
-		v := t.At(pos)
-		if v.IsNull() {
-			continue
-		}
-		ref, err := schema.ParseColumnRef(qn)
-		if err != nil {
-			continue
-		}
-		k, col := v.Key(), ref.String()
-		old := ix.occ[k]
-		i := sort.Search(len(old), func(i int) bool { return old[i].Column.String() >= col })
-		found := i < len(old) && old[i].Column == ref
-		occ := slices.Clone(old)
-		switch {
-		case found && del:
-			if occ[i].Count--; occ[i].Count == 0 {
-				occ = slices.Delete(occ, i, i+1)
-			}
-		case found:
-			occ[i].Count++
-		case !del:
-			occ = slices.Insert(occ, i, Occurrence{Column: ref, Count: 1})
-		default:
-			continue // nothing recorded to remove
-		}
-		if len(occ) == 0 {
-			delete(ix.occ, k)
-		} else {
-			ix.occ[k] = occ
-		}
-	}
-}
-
 // OccurrencesScan finds the columns containing v by scanning the whole
-// instance; the unindexed baseline for benchmark E5.
+// instance; the unindexed baseline for benchmark E5. A cell matches
+// when it shares v's Key, so the scan answers exactly as the index.
+// For numbers that is float64 equality, not Equal: Equal keeps two
+// ints above 2^53 that round to one float64 apart, yet equates each
+// with that float.
 func OccurrencesScan(in *relation.Instance, v value.Value) []Occurrence {
 	if v.IsNull() {
 		return nil
 	}
+	f, num := v.AsFloat()
 	var out []Occurrence
 	for _, r := range in.Relations() {
 		for pos, qn := range r.Scheme().Names() {
@@ -325,7 +332,7 @@ func OccurrencesScan(in *relation.Instance, v value.Value) []Occurrence {
 			}
 			n := 0
 			for _, t := range r.Tuples() {
-				if t.At(pos).Equal(v) {
+				if w := t.At(pos); num && sameNumber(f, w) || !num && w.Equal(v) {
 					n++
 				}
 			}
@@ -338,4 +345,61 @@ func OccurrencesScan(in *relation.Instance, v value.Value) []Occurrence {
 		return out[i].Column.String() < out[j].Column.String()
 	})
 	return out
+}
+
+// sameNumber reports whether w is a number that shares the Key of the
+// number f: keys encode numbers as float64, with NaN matching NaN.
+func sameNumber(f float64, w value.Value) bool {
+	g, ok := w.AsFloat()
+	return ok && (f == g || f != f && g != g)
+}
+
+// interner gives every distinct non-null value one dense id, in order
+// of first sight. Two values share an id exactly when they share a
+// Key: numbers are keyed by the float64 their key encodes (-0 as +0,
+// every NaN as one), strings and bools by their datum.
+type interner struct {
+	nums  map[uint64]int32
+	strs  map[string]int32
+	bools [2]int32 // id+1 of false and true; 0 while unseen
+	n     int32
+}
+
+func newInterner() *interner {
+	return &interner{nums: map[uint64]int32{}, strs: map[string]int32{}}
+}
+
+// id returns v's id, assigning the next one when v is new.
+func (it *interner) id(v value.Value) int32 {
+	switch v.Kind() {
+	case value.KindString:
+		if id, ok := it.strs[v.Str()]; ok {
+			return id
+		}
+		it.strs[v.Str()] = it.n
+	case value.KindBool:
+		b := 0
+		if v.BoolVal() {
+			b = 1
+		}
+		if it.bools[b] > 0 {
+			return it.bools[b] - 1
+		}
+		it.bools[b] = it.n + 1
+	default:
+		f, _ := v.AsFloat()
+		if f == 0 {
+			f = 0 // -0.0 shares +0.0's key
+		}
+		bits := math.Float64bits(f)
+		if f != f {
+			bits = math.Float64bits(math.NaN())
+		}
+		if id, ok := it.nums[bits]; ok {
+			return id
+		}
+		it.nums[bits] = it.n
+	}
+	it.n++
+	return it.n - 1
 }

@@ -35,35 +35,36 @@ func (e JoinEdge) String() string {
 }
 
 // key normalizes the unordered column pair for deduplication.
-func (e JoinEdge) key() string {
+func (e JoinEdge) key() [2]string {
 	a, b := e.From.String(), e.To.String()
 	if a > b {
 		a, b = b, a
 	}
-	return a + "\x00" + b
+	return [2]string{a, b}
 }
 
 // Knowledge is Clio's join-knowledge base: a multigraph over base
 // relations whose (parallel) edges are candidate join conditions.
 type Knowledge struct {
 	edges []JoinEdge
-	byRel map[string][]int // relation name → edge positions
+	byRel map[string][]int       // relation name → edge positions
+	pairs map[[2]string]struct{} // keys of edges, for deduplication
 }
 
 // NewKnowledge creates an empty knowledge base.
 func NewKnowledge() *Knowledge {
-	return &Knowledge{byRel: map[string][]int{}}
+	return &Knowledge{byRel: map[string][]int{}, pairs: map[[2]string]struct{}{}}
 }
 
 // Add inserts a candidate join edge, deduplicating by unordered column
 // pair (the first source wins: declared FKs are added before mined
 // INDs by BuildKnowledge).
 func (k *Knowledge) Add(e JoinEdge) {
-	for _, prev := range k.edges {
-		if prev.key() == e.key() {
-			return
-		}
+	key := e.key()
+	if _, dup := k.pairs[key]; dup {
+		return
 	}
+	k.pairs[key] = struct{}{}
 	pos := len(k.edges)
 	k.edges = append(k.edges, e)
 	k.byRel[e.From.Relation] = append(k.byRel[e.From.Relation], pos)

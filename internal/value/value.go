@@ -496,7 +496,7 @@ func Parse(s string) Value {
 	// "0" and "0.5" are still numbers.
 	leadingZero := len(s) > 1 && s[0] == '0' && s[1] != '.' ||
 		len(s) > 2 && s[0] == '-' && s[1] == '0' && s[2] != '.'
-	if !leadingZero {
+	if !leadingZero && mayBeNumber(s) {
 		if i, err := strconv.ParseInt(s, 10, 64); err == nil {
 			return Int(i)
 		}
@@ -508,4 +508,36 @@ func Parse(s string) Value {
 		return Bool(s == "true")
 	}
 	return String(s)
+}
+
+// mayBeNumber is a byte check that rules out most non-numeric strings
+// before strconv, whose failures each allocate an error and a copy of
+// the input. After an optional sign, ParseInt and ParseFloat accept
+// only strings that start with a digit, '.', or the first letter of
+// inf, infinity or nan (in any case). A string that starts with a
+// digit or '.' can then hold only digits, hex digits, '.', '_', 'x',
+// 'p', and a sign right after an exponent marker (e or p).
+func mayBeNumber(s string) bool {
+	if len(s) > 0 && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	if s == "" {
+		return false
+	}
+	switch c := s[0]; {
+	case c == 'i', c == 'I', c == 'n', c == 'N':
+		return true
+	case c != '.' && (c < '0' || c > '9'):
+		return false
+	}
+	for i := 1; i < len(s); i++ {
+		switch c, lower := s[i], s[i]|0x20; {
+		case '0' <= c && c <= '9', 'a' <= lower && lower <= 'f',
+			c == '.', c == '_', lower == 'x', lower == 'p':
+		case (c == '+' || c == '-') && (s[i-1]|0x20 == 'e' || s[i-1]|0x20 == 'p'):
+		default:
+			return false
+		}
+	}
+	return true
 }

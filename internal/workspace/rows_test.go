@@ -3,9 +3,9 @@ package workspace
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"clio/internal/core"
@@ -284,57 +284,66 @@ func testRowsFirstBuildFailureRollsBack(t *testing.T) {
 	}
 }
 
-// checkIndexMatchesScan compares the tool's value index with a scan of
-// its live instance for every value in vals.
-func checkIndexMatchesScan(t *testing.T, tl *Tool, vals map[string]value.Value, when string) {
-	t.Helper()
-	for _, v := range vals {
-		got, want := tl.Index.Occurrences(v), discovery.OccurrencesScan(tl.Instance, v)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: Occurrences(%v) = %v, scan says %v", when, v, got, want)
-		}
+// copyInstance returns an instance over the same schema holding a
+// copy of every relation of in.
+func copyInstance(in *relation.Instance) *relation.Instance {
+	out := relation.NewInstance(in.Schema)
+	for _, r := range in.Relations() {
+		out.MustAdd(r.Clone())
 	}
+	return out
 }
 
-// The chase's value index follows row edits: after every edit of a
-// random insert/delete sequence — duplicate rows, NULL cells, and
-// deletes of a value's last occurrence included — Occurrences agrees
-// with a scan of the live instance for every value ever present, and a
-// slice Occurrences returned earlier never changes.
-func TestApplyRowsKeepsValueIndexCurrent(t *testing.T) {
+// chaseOutcome chases v from col and returns what the chase offers,
+// one "note | mapping" line per workspace, or its error; a successful
+// chase is undone, so the session's workspaces are left as they were.
+func chaseOutcome(t *testing.T, tl *Tool, col string, v value.Value) []string {
+	t.Helper()
+	if err := tl.Chase(context.Background(), col, v); err != nil {
+		return []string{"error: " + err.Error()}
+	}
+	var out []string
+	for _, w := range tl.Workspaces() {
+		out = append(out, w.Note+" | "+w.Mapping.String())
+	}
+	if err := tl.Undo(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// The chase follows row edits: after every edit of a random
+// insert/delete sequence — duplicate rows, NULL cells, and deletes of a
+// value's last occurrence included — chasing each value of the edited
+// row offers exactly the workspaces (notes and mappings) a fresh tool
+// over a copy of the edited instance offers.
+func TestApplyRowsChaseMatchesFreshTool(t *testing.T) {
 	ctx := context.Background()
 	chain := datagen.Chain(datagen.ChainSpec{Relations: 3, Rows: 12, KeySpace: 5, MatchProb: 0.7, Seed: 11})
-	chainTool := New(ctx, chain.Instance, chain.Target, false)
-	if err := chainTool.Start("chain"); err != nil {
-		t.Fatal(err)
-	}
-	if err := chainTool.AddCorrespondence(ctx, chain.Mapping.Corrs[0]); err != nil {
-		t.Fatal(err)
+	chainTool := func(in *relation.Instance) *Tool {
+		tl := New(ctx, in, chain.Target, false)
+		if err := tl.Start("chain"); err != nil {
+			t.Fatal(err)
+		}
+		if err := tl.AddCorrespondence(ctx, chain.Mapping.Corrs[0]); err != nil {
+			t.Fatal(err)
+		}
+		return tl
 	}
 	for _, tc := range []struct {
-		name string
-		tl   *Tool
-	}{{"paperdb", mappedTool(t, paperdb.Instance())}, {"chain", chainTool}} {
+		name  string
+		in    *relation.Instance
+		build func(*relation.Instance) *Tool
+		col   string
+	}{
+		{"paperdb", paperdb.Instance(), func(in *relation.Instance) *Tool { return mappedTool(t, in) }, "Children.ID"},
+		{"chain", chain.Instance, chainTool, "R0.k"},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tl := tc.tl
+			tl := tc.build(tc.in)
 			rng := rand.New(rand.NewSource(17))
-			vals := map[string]value.Value{}
-			note := func(tp relation.Tuple) {
-				for i := 0; i < tp.Scheme().Arity(); i++ {
-					if v := tp.At(i); !v.IsNull() {
-						vals[v.Key()] = v
-					}
-				}
-			}
 			rels := tl.Instance.Relations()
-			for _, r := range rels {
-				for _, tp := range r.Tuples() {
-					note(tp)
-				}
-			}
-			checkIndexMatchesScan(t, tl, vals, "before any edit")
-			var held []discovery.Occurrence
-			var heldCopy []discovery.Occurrence
+			chases := 0
 			for step := 0; step < 60; step++ {
 				r := rels[rng.Intn(len(rels))]
 				var cells []value.Value
@@ -359,19 +368,25 @@ func TestApplyRowsKeepsValueIndexCurrent(t *testing.T) {
 						cells = append(cells, v)
 					}
 				}
-				tp := relation.NewTuple(r.Scheme(), cells...)
-				note(tp)
 				if err := tl.ApplyRows(ctx, r.Name, cells, del); err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
-				checkIndexMatchesScan(t, tl, vals, fmt.Sprintf("step %d", step))
-				if !reflect.DeepEqual(held, heldCopy) {
-					t.Fatalf("step %d: a slice Occurrences returned earlier changed: %v, was %v", step, held, heldCopy)
+				fresh := tc.build(copyInstance(tl.Instance))
+				for _, v := range cells {
+					if v.IsNull() {
+						continue
+					}
+					got, want := chaseOutcome(t, tl, tc.col, v), chaseOutcome(t, fresh, tc.col, v)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("step %d: chasing %s = %v offers\n%q\na fresh tool offers\n%q", step, tc.col, v, got, want)
+					}
+					if len(got) > 0 && !strings.HasPrefix(got[0], "error: ") {
+						chases++
+					}
 				}
-				if v := tp.At(0); !v.IsNull() {
-					held = tl.Index.Occurrences(v)
-					heldCopy = append([]discovery.Occurrence(nil), held...)
-				}
+			}
+			if chases == 0 {
+				t.Fatal("no chase offered a workspace; the sequence tests nothing")
 			}
 		})
 	}
@@ -380,7 +395,7 @@ func TestApplyRowsKeepsValueIndexCurrent(t *testing.T) {
 // A row edit reaches the chase: after inserting SBPS (777, -, -), a
 // session with one correspondence offers the SBPS workspace, exactly
 // as a fresh tool over the edited instance does. A rolled-back edit
-// never reaches the index.
+// never reaches the instance the chase scans.
 func TestChaseSeesRowEdits(t *testing.T) {
 	ctx := context.Background()
 	start := func(in *relation.Instance) *Tool {
@@ -404,13 +419,13 @@ func TestChaseSeesRowEdits(t *testing.T) {
 
 	tl := start(paperdb.Instance())
 	// A Children edit the budget refuses is rolled back and must not
-	// leave 777 behind in the index.
+	// leave 777 behind in the instance.
 	tight := fd.WithBudget(ctx, fd.Budget{MaxRows: 1})
 	if err := tl.ApplyRows(tight, "Children", rowVals("777", "Kim", "4", "100", "101", "d9"), false); !errors.Is(err, fd.ErrBudgetExceeded) {
 		t.Fatalf("edit under a 1-row budget returned %v, want a budget error", err)
 	}
-	if occ := tl.Index.Occurrences(value.Int(777)); occ != nil {
-		t.Fatalf("index holds %v for a row that is not in the instance", occ)
+	if occ := discovery.OccurrencesScan(tl.Instance, value.Int(777)); occ != nil {
+		t.Fatalf("the chase would find %v for a row that is not in the instance", occ)
 	}
 
 	if err := tl.ApplyRows(ctx, "SBPS", row, false); err != nil {

@@ -16,12 +16,12 @@ import (
 // "snapshot" records so replay cost is bounded by ops since the last
 // snapshot instead of total session history.
 //
-// The source instance, join knowledge, and value index are NOT part of
-// the state: they belong to session creation and the row ops, which
-// the owner re-executes before calling RestoreState. That mirrors a
-// live session exactly: knowledge is built once at construction, and
-// the value index follows every successful row edit, so re-executed
-// row ops leave it as the live session had it.
+// The source instance and join knowledge are NOT part of the state:
+// they belong to session creation and the row ops, which the owner
+// re-executes before calling RestoreState. That mirrors a live session
+// exactly: knowledge is built once at construction, and the chase
+// scans the instance as the re-executed row ops left it, as the live
+// session's chase did.
 
 // ToolState is the serializable canonical state of a Tool.
 type ToolState struct {

@@ -65,13 +65,11 @@ func (m *viewMemo) valid(accepted []*core.Mapping, version uint64) bool {
 	return m.rel != nil && m.version == version && slices.Equal(m.accepted, accepted)
 }
 
-// Tool is one Clio session: the source instance, its join knowledge
-// and value index, the target relation, the workspaces, and the
-// accepted mappings.
+// Tool is one Clio session: the source instance, its join knowledge,
+// the target relation, the workspaces, and the accepted mappings.
 type Tool struct {
 	Instance  *relation.Instance
 	Knowledge *discovery.Knowledge
-	Index     *discovery.ValueIndex
 	Target    *schema.Relation
 
 	// MaxWalkLen bounds walk path enumeration (default 3).
@@ -112,7 +110,6 @@ func New(ctx context.Context, in *relation.Instance, target *schema.Relation, mi
 	return &Tool{
 		Instance:   in,
 		Knowledge:  discovery.BuildKnowledge(ctx, in, mineINDs, 1),
-		Index:      discovery.BuildValueIndex(ctx, in),
 		Target:     target,
 		MaxWalkLen: 3,
 		active:     -1,
@@ -427,7 +424,7 @@ func (t *Tool) TargetView(ctx context.Context) (*relation.Relation, error) {
 // which keeps unwinding) the instance mutation is rolled back, so a
 // failed edit leaves the session exactly as it was — the journal-replay
 // invariant depends on ops being all-or-nothing. Only a successful edit
-// reaches the chase's value index.
+// stays in the instance the chase scans.
 func (t *Tool) ApplyRows(ctx context.Context, relName string, vals []value.Value, del bool) (err error) {
 	ctx, span := obs.StartSpan(ctx, "workspace.rows")
 	defer span.End()
@@ -473,7 +470,6 @@ func (t *Tool) ApplyRows(ctx context.Context, relName string, vals []value.Value
 	if err := t.maintainRowsLocked(ctx, relName, tup, del); err != nil {
 		return err
 	}
-	t.Index.ApplyRow(tup, del)
 	done = true
 	return nil
 }
@@ -619,7 +615,10 @@ func (t *Tool) Walk(ctx context.Context, startNode, endBase string) (err error) 
 }
 
 // Chase applies the data chase operator to the active mapping and
-// replaces the workspaces with the alternatives.
+// replaces the workspaces with the alternatives. It finds the value's
+// occurrences by scanning the live instance, so row edits reach it
+// with nothing to maintain; at session sizes one scan costs less than
+// building an index.
 func (t *Tool) Chase(ctx context.Context, fromCol string, v value.Value) (err error) {
 	ctx, span := obs.StartSpan(ctx, "workspace.chase")
 	defer span.End()
@@ -630,7 +629,7 @@ func (t *Tool) Chase(ctx context.Context, fromCol string, v value.Value) (err er
 	if w == nil {
 		return fmt.Errorf("workspace: no active workspace")
 	}
-	opts, err := core.DataChase(ctx, w.Mapping, t.Index, fromCol, v)
+	opts, err := core.DataChase(ctx, w.Mapping, discovery.ScanIndex(t.Instance), fromCol, v)
 	if err != nil {
 		return err
 	}
