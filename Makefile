@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt staticcheck check bench bench-core bench-diff bench-smoke bench-serve-smoke demo serve-smoke chaos
+.PHONY: build test race vet fmt staticcheck check bench bench-core bench-diff bench-smoke bench-serve-smoke demo serve-smoke chaos fuzz
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,22 @@ serve-smoke:
 # detector with a pinned seed, so any failure replays exactly.
 chaos:
 	CLIO_CHAOS_SEED=1 $(GO) test -race -run 'Chaos|Journal|Budget|Mode|Prob' ./internal/fault ./internal/fd ./internal/workspace ./internal/serve ./internal/csvio ./internal/discovery ./internal/spill ./internal/algebra ./internal/budget
+
+# fuzz runs every Fuzz* target of the module (servebench, a module of
+# its own, excluded) for FUZZTIME each, one `go test -fuzz` call per
+# target because go test fuzzes one target at a time. It needs no
+# network. It is not part of check, which stays seeded and
+# reproducible; the seed corpora already run under `go test`.
+FUZZTIME ?= 3s
+
+fuzz:
+	@set -e; \
+	for file in $$(grep -rl --include='*_test.go' --exclude-dir=servebench '^func Fuzz' . | sort); do \
+		for name in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\).*/\1/p' $$file); do \
+			echo "fuzz $$(dirname $$file) $$name"; \
+			$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) $$(dirname $$file); \
+		done; \
+	done
 
 # check is the tier-1 verification gate: gofmt, vet, staticcheck (when
 # installed), build, tests, race tests, the chaos suite, the serve

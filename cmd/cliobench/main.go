@@ -572,8 +572,8 @@ func e10() {
 	// holding ~1.5% of each side, the rest spread thin) under a cap
 	// that single-level partitioning cannot satisfy — the hot key's
 	// partition stays oversized until recursive re-partitioning splits
-	// the tail away from it. Quotes the recursion + prefetch overhead
-	// against the uniform spill row above.
+	// the tail away from it. Quotes the recursion overhead against the
+	// uniform spill row above.
 	sl, sr2 := skewedJoinPair(joinRows)
 	skewDir, err := os.MkdirTemp("", "cliobench-skew-")
 	if err != nil {

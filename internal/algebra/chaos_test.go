@@ -142,19 +142,19 @@ func (l *lockedBuffer) String() string {
 	return l.b.String()
 }
 
-// A panic in the Grace join's prefetch goroutine must unwind on the
-// request goroutine, like a morsel-worker panic: the victim request
-// answers 500 and counts clio.panics, a bystander session keeps
-// answering 200, the victim's budget tracker is back at zero (its
-// access-log line carries no budget charge), and no spill partition
-// file outlives the request.
-func TestChaosSpillPrefetchPanicAnswers500(t *testing.T) {
+// A panic while the Grace join loads a spilled partition pair must
+// fail only its request: the victim request answers 500 and counts
+// clio.panics, a bystander session keeps answering 200, the victim's
+// budget tracker is back at zero (its access-log line carries no
+// budget charge although the panic struck three frames into a charged
+// load), and no spill partition file outlives the request.
+func TestChaosSpillLoadPanicAnswers500(t *testing.T) {
 	// L and M share no values, and R links them (IND mining finds
 	// L.k = R.a and R.b = M.k), so the walk from L to M has the single
 	// alternative L—R—M. Every row repeats 4 times: the first join's
 	// duplicate-multiplied output overflows the resident cap and is
-	// partitioned to disk, so its join with M starts a prefetch, while
-	// the distinct D(G) stays at 32 tuples.
+	// partitioned to disk, so its join with M loads partitions back,
+	// while the distinct D(G) stays at 32 tuples.
 	src := t.TempDir()
 	csv := map[string]string{"L.csv": "k,v\n", "R.csv": "a,b\n", "M.csv": "k,v\n"}
 	for i := 0; i < 32*4; i++ {
@@ -223,7 +223,7 @@ func TestChaosSpillPrefetchPanicAnswers500(t *testing.T) {
 
 	fault.Enable(1)
 	defer fault.Disable()
-	fault.Set("spill.prefetch", fault.Spec{Mode: fault.ModePanic, Times: 1})
+	fault.Set("spill.read", fault.Spec{Mode: fault.ModePanic, After: 3, Times: 1})
 	panics := obs.GetCounter("clio.panics")
 	before := panics.Value()
 
@@ -243,10 +243,10 @@ func TestChaosSpillPrefetchPanicAnswers500(t *testing.T) {
 	code, body, trace := call("POST", victim+"/walk", walk)
 	wg.Wait()
 	if code != http.StatusInternalServerError {
-		t.Fatalf("walk with a panicking prefetch worker: status %d, want 500 (body %s)", code, body)
+		t.Fatalf("walk with a panicking partition load: status %d, want 500 (body %s)", code, body)
 	}
-	if fault.Fired("spill.prefetch") != 1 {
-		t.Fatalf("prefetch fault fired %d times, want 1", fault.Fired("spill.prefetch"))
+	if fault.Fired("spill.read") != 1 {
+		t.Fatalf("read fault fired %d times, want 1", fault.Fired("spill.read"))
 	}
 	if got := panics.Value(); got != before+1 {
 		t.Errorf("clio.panics = %d, want %d", got, before+1)

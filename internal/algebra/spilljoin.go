@@ -13,15 +13,20 @@ package algebra
 // sides), so each per-partition joinIter — matches, residual
 // predicates, and outer padding included — is globally exact.
 //
-// Partition pairs are processed off a task queue with one pair of
-// extensions (see graceJoinIter): an oversized pair — skewed keys
-// whose partition exceeds the resident cap — is recursively
-// re-partitioned with a fresh per-depth hash salt up to the budget's
-// recursion limit (then a typed abort naming "recursion_exhausted"),
-// and the next pair is prefetched on a worker goroutine while the
-// current pair joins. The recorded per-partition statistics feed an
-// up-front feasibility check (pairReplayBound) so a provably-doomed
-// replay aborts before paying any partition I/O.
+// Partition pairs are processed one at a time off a task queue (see
+// graceJoinIter): an oversized pair — skewed keys whose partition
+// exceeds the resident cap — is recursively re-partitioned with a
+// fresh per-depth hash salt up to the budget's recursion limit (then a
+// typed abort naming "recursion_exhausted"). The recorded
+// per-partition statistics feed an up-front feasibility check
+// (pairReplayBound) so a provably-doomed replay aborts before paying
+// any partition I/O.
+//
+// Everything runs on the consumer's goroutine. Every step that takes a
+// charge or creates a partition file registers it with its owner
+// before the next call that can fail or panic, so an error return or a
+// panic unwinding through the join leaves no charge and no file once
+// the iterator is closed.
 //
 // Joins with no equi conjunct cannot be hash-partitioned; an
 // over-budget build side there stays a typed abort (the budget error
@@ -34,15 +39,9 @@ import (
 
 	"clio/internal/budget"
 	"clio/internal/expr"
-	"clio/internal/fault"
-	"clio/internal/obs"
 	"clio/internal/relation"
 	"clio/internal/spill"
 )
-
-// cPrefetchHits counts partition pairs consumed from the prefetch
-// worker instead of loaded serially (clio_spill_prefetch_hits_total).
-var cPrefetchHits = obs.GetCounter("spill.prefetch_hits")
 
 // spillSide is one sunk join input: fully in memory (rel), in memory
 // partitioned to match a spilled counterpart (groups), or spilled to
@@ -79,41 +78,7 @@ func (sd *spillSide) partitionMem(n int) {
 	if sd.rel == nil || sd.groups != nil {
 		return
 	}
-	groups := make([]*relation.Relation, n)
-	for i := range groups {
-		groups[i] = relation.New(sd.rel.Name, sd.scheme)
-	}
-	for _, t := range sd.rel.Tuples() {
-		groups[spill.Route(t, sd.cols, 0, n)].Add(t)
-	}
-	sd.groups = groups
-}
-
-// load returns partition i as an in-memory relation: the pre-built
-// hash group for memory sides, or a charged read-back of the temp file
-// for spilled sides (the returned rows/bytes are the caller's to
-// refund once the partition is joined).
-func (sd *spillSide) load(tr *budget.Tracker, i int) (*relation.Relation, int64, int64, error) {
-	if !sd.spilled() {
-		return sd.groups[i], 0, 0, nil
-	}
-	rel := relation.New(sd.name, sd.scheme)
-	var rows, bytes int64
-	err := sd.parts.Read(i, sd.scheme, func(t relation.Tuple) error {
-		b := t.ApproxBytes()
-		if err := tr.Charge(1, b); err != nil {
-			return err
-		}
-		rows++
-		bytes += b
-		rel.Add(t)
-		return nil
-	})
-	if err != nil {
-		tr.Refund(rows, bytes)
-		return nil, 0, 0, err
-	}
-	return rel, rows, bytes, nil
+	sd.groups = splitRelSalted(sd.rel, sd.scheme, sd.cols, n, 0)
 }
 
 // openSide prepares one child for sinking: base relations (scans and
@@ -137,7 +102,8 @@ func openSide(ctx context.Context, n Node, in *relation.Instance) (Iterator, *re
 // moment the budget refuses a charge. cols are the side's equi-join
 // positions; without them an over-budget side cannot spill and the
 // budget error propagates as a typed abort. The iterator (when any) is
-// closed in all cases.
+// closed in all cases, and a side that is not returned — an error or a
+// panic while sinking — is closed too.
 func sinkSide(tr *budget.Tracker, it Iterator, base *relation.Relation, cols []int) (*spillSide, error) {
 	if base != nil {
 		return &spillSide{name: base.Name, scheme: base.Scheme(), cols: cols, rel: base}, nil
@@ -149,19 +115,24 @@ func sinkSide(tr *budget.Tracker, it Iterator, base *relation.Relation, cols []i
 		cols:   cols,
 		rel:    relation.New(it.Name(), it.Scheme()),
 	}
+	sunk := false
+	defer func() {
+		if !sunk {
+			side.close(tr)
+		}
+	}()
 	for {
 		batch, err := it.Next()
 		if err != nil {
-			side.close(tr)
 			return nil, err
 		}
 		if batch == nil {
+			sunk = true
 			return side, nil
 		}
 		for _, t := range batch {
 			if side.spilled() {
 				if err := side.parts.Add(t); err != nil {
-					side.close(tr)
 					return nil, err
 				}
 				continue
@@ -175,7 +146,6 @@ func sinkSide(tr *budget.Tracker, it Iterator, base *relation.Relation, cols []i
 				continue
 			}
 			if len(cols) == 0 {
-				side.close(tr)
 				return nil, cerr
 			}
 			// Overflow: move the retained prefix to disk, refund its
@@ -183,7 +153,6 @@ func sinkSide(tr *budget.Tracker, it Iterator, base *relation.Relation, cols []i
 			side.parts = spill.NewPartitionSet(tr, spill.DefaultPartitions, cols)
 			for _, u := range side.rel.Tuples() {
 				if err := side.parts.Add(u); err != nil {
-					side.close(tr)
 					return nil, err
 				}
 			}
@@ -191,14 +160,15 @@ func sinkSide(tr *budget.Tracker, it Iterator, base *relation.Relation, cols []i
 			side.rows, side.bytes = 0, 0
 			side.rel = nil
 			if err := side.parts.Add(t); err != nil {
-				side.close(tr)
 				return nil, err
 			}
 		}
 	}
 }
 
-// openSpillJoin is Join.Open under a spill-enabled budget.
+// openSpillJoin is Join.Open under a spill-enabled budget. Until it
+// returns an iterator it owns the open children, the sunk sides and
+// the span, and releases them on an error return or a panic.
 func openSpillJoin(ctx context.Context, j Join, in *relation.Instance) (Iterator, error) {
 	ctx, span := openOp(ctx, "op.join")
 	span.SetStr("kind", j.Kind.String())
@@ -206,17 +176,31 @@ func openSpillJoin(ctx context.Context, j Join, in *relation.Instance) (Iterator
 		span.SetInt("est_rows", j.EstRows)
 	}
 	tr := budget.FromContext(ctx)
+	// li and ri are the children not yet handed to sinkSide, which
+	// closes what it is given.
+	var li, ri Iterator
+	var left, right *spillSide
+	opened := false
+	defer func() {
+		if opened {
+			return
+		}
+		if li != nil {
+			li.Close()
+		}
+		if ri != nil {
+			ri.Close()
+		}
+		left.close(tr)
+		right.close(tr)
+		span.End()
+	}()
 	li, lbase, err := openSide(ctx, j.L, in)
 	if err != nil {
-		span.End()
 		return nil, err
 	}
 	ri, rbase, err := openSide(ctx, j.R, in)
 	if err != nil {
-		if li != nil {
-			li.Close()
-		}
-		span.End()
 		return nil, err
 	}
 	ls, rs := sideScheme(li, lbase), sideScheme(ri, rbase)
@@ -226,23 +210,20 @@ func openSpillJoin(ctx context.Context, j Join, in *relation.Instance) (Iterator
 		lcols = ls.Positions(eqL...)
 		rcols = rs.Positions(eqR...)
 	}
-	left, err := sinkSide(tr, li, lbase, lcols)
-	if err != nil {
-		if ri != nil {
-			ri.Close()
-		}
-		span.End()
+	sinkL := li
+	li = nil
+	if left, err = sinkSide(tr, sinkL, lbase, lcols); err != nil {
 		return nil, err
 	}
-	right, err := sinkSide(tr, ri, rbase, rcols)
-	if err != nil {
-		left.close(tr)
-		span.End()
+	sinkR := ri
+	ri = nil
+	if right, err = sinkSide(tr, sinkR, rbase, rcols); err != nil {
 		return nil, err
 	}
 	if !left.spilled() && !right.spilled() {
 		// Everything fit: the standard streaming join, with the sides'
 		// retained charges released when it closes.
+		opened = true
 		return &sideReleaseIter{
 			joinIter: newJoinIter(ctx, span, j.Kind, left.rel, right.rel, j.On),
 			tr:       tr,
@@ -259,9 +240,6 @@ func openSpillJoin(ctx context.Context, j Join, in *relation.Instance) (Iterator
 		right.parts.RecordStats()
 	}
 	if err := pairReplayBound(tr, left, right, n); err != nil {
-		left.close(tr)
-		right.close(tr)
-		span.End()
 		return nil, err
 	}
 	left.partitionMem(n)
@@ -277,18 +255,15 @@ func openSpillJoin(ctx context.Context, j Join, in *relation.Instance) (Iterator
 		maxDepth: tr.RecursionLimit(),
 		op:       opStats{span: span},
 	}
-	lim := tr.Limits()
-	it.slackRows, it.slackBytes = lim.MaxRows/8, lim.MaxBytes/8
 	it.queue = make([]pairTask, n)
 	for i := range it.queue {
 		it.queue[i] = pairTask{l: sideSrc(left, i), r: sideSrc(right, i)}
 	}
-	it.pctx, it.pcancel = context.WithCancel(context.Background())
-	it.pch = make(chan prefetched, 1)
+	opened = true
 	return it, nil
 }
 
-// pairReplayBound is the picker's up-front spill verdict: from the
+// pairReplayBound is the join's up-front spill verdict: from the
 // recorded partition statistics, the largest pair's disk footprint is
 // a certain lower bound on the rows/bytes its replay must charge (one
 // frame is one resident row, and frame bytes are always below the
@@ -377,23 +352,23 @@ func sideSrc(sd *spillSide, i int) pairSrc {
 
 // load materializes the source as a charged in-memory relation.
 // In-memory groups cost nothing (they share their parent's storage);
-// disk partitions charge each decoded tuple through charge. On error
-// the partial charges are already refunded. A non-nil ctx is checked
-// per tuple so an abandoned prefetch stops promptly.
-func (src *pairSrc) load(tr *budget.Tracker, charge func(rows, bytes int64) error, ctx context.Context) (*relation.Relation, int64, int64, error) {
+// disk partitions charge each decoded tuple. A load that does not
+// return the relation — an error or a panic — refunds its charges.
+func (src *pairSrc) load(tr *budget.Tracker) (*relation.Relation, int64, int64, error) {
 	if src.ps == nil {
 		return src.rel, 0, 0, nil
 	}
 	rel := relation.New(src.name, src.scheme)
 	var rows, bytes int64
-	err := src.ps.Read(src.idx, src.scheme, func(t relation.Tuple) error {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+	loaded := false
+	defer func() {
+		if !loaded {
+			tr.Refund(rows, bytes)
 		}
+	}()
+	err := src.ps.Read(src.idx, src.scheme, func(t relation.Tuple) error {
 		b := t.ApproxBytes()
-		if err := charge(1, b); err != nil {
+		if err := tr.Charge(1, b); err != nil {
 			return err
 		}
 		rows++
@@ -402,9 +377,9 @@ func (src *pairSrc) load(tr *budget.Tracker, charge func(rows, bytes int64) erro
 		return nil
 	})
 	if err != nil {
-		tr.Refund(rows, bytes)
 		return nil, 0, 0, err
 	}
+	loaded = true
 	return rel, rows, bytes, nil
 }
 
@@ -437,53 +412,17 @@ func (c *childSets) close() {
 	}
 }
 
-// prefetched is one pair load completed by the prefetch worker. A
-// panic in the worker arrives as panicked, with rows and bytes the
-// charges it left outstanding; the consumer refunds them and re-raises
-// the panic on its own goroutine.
-type prefetched struct {
-	task        pairTask
-	lrel, rrel  *relation.Relation
-	rows, bytes int64
-	err         error
-	panicked    any
-}
-
-// receivePrefetch takes the in-flight prefetch result, refunding the
-// charges of a worker that panicked and re-raising its panic.
-func (it *graceJoinIter) receivePrefetch() prefetched {
-	p := <-it.pch
-	it.inflight = false
-	if p.panicked != nil {
-		it.tr.Refund(p.rows, p.bytes)
-		panic(p.panicked)
-	}
-	return p
-}
-
-// errPrefetchMiss marks a prefetch load the headroom charge refused —
-// an opportunistic miss, not a budget verdict: the foreground retries
-// the pair with a plain charge.
-var errPrefetchMiss = errors.New("spill: prefetch headroom refused")
-
 // graceJoinIter joins two partitioned sides pair by pair from a task
 // queue: load both halves of the pair (charged), run the standard
 // joinIter, refund, release, advance. Matched pairs and outer padding
 // are per-partition exact because equal keys — and null keys — land in
 // the same partition on both sides at every depth.
 //
-// Two extensions over plain pair-at-a-time:
-//
-//   - Recursion: a pair whose serial load is refused by the budget is
-//     re-partitioned — both halves, with a fresh per-depth salt — into
-//     fan-out child pairs appended to the queue, up to the budget's
-//     recursion limit; past the limit the refusal escalates to a typed
-//     abort naming spill state "recursion_exhausted".
-//   - Overlap: while a pair joins, one worker goroutine loads the next
-//     pair using headroom-bounded charges (never the foreground's
-//     slack), double-buffered through a 1-slot channel. A refused or
-//     faulted prefetch falls back to the serial path; recursion only
-//     ever runs on the foreground with no prefetch in flight.
+// A pair whose load is refused by the budget is re-partitioned — both
+// halves, with a fresh per-depth salt — into fan-out child pairs
+// appended to the queue, up to the budget's recursion limit; past the
+// limit the refusal escalates to a typed abort naming spill state
+// "recursion_exhausted".
 type graceJoinIter struct {
 	ctx         context.Context
 	tr          *budget.Tracker
@@ -492,19 +431,12 @@ type graceJoinIter struct {
 	s           *relation.Scheme
 	left, right *spillSide
 	maxDepth    int
-	slackRows   int64
-	slackBytes  int64
 	queue       []pairTask
 	owners      []*childSets
 	cur         pairTask
-	curL, curR  *relation.Relation
 	inner       *joinIter
 	loadedRows  int64
 	loadedBytes int64
-	pctx        context.Context
-	pcancel     context.CancelFunc
-	pch         chan prefetched
-	inflight    bool
 	emitted     bool // current pair has produced output (recursion no longer exact)
 	op          opStats
 }
@@ -515,16 +447,6 @@ func (it *graceJoinIter) Name() string             { return "" }
 func (it *graceJoinIter) Close() {
 	if it.op.done {
 		return
-	}
-	if it.pcancel != nil {
-		it.pcancel()
-	}
-	var panicked any
-	if it.inflight {
-		p := <-it.pch
-		it.tr.Refund(p.rows, p.bytes)
-		it.inflight = false
-		panicked = p.panicked
 	}
 	if it.inner != nil {
 		it.inner.Close()
@@ -538,9 +460,6 @@ func (it *graceJoinIter) Close() {
 	it.left.close(it.tr)
 	it.right.close(it.tr)
 	it.op.close()
-	if panicked != nil {
-		panic(panicked)
-	}
 }
 
 func (it *graceJoinIter) Next() ([]relation.Tuple, error) {
@@ -556,7 +475,6 @@ func (it *graceJoinIter) Next() ([]relation.Tuple, error) {
 			if !ok {
 				return nil, nil
 			}
-			it.curL, it.curR = lrel, rrel
 			it.inner = newJoinIter(it.ctx, nil, it.kind, lrel, rrel, it.on)
 			it.emitted = false
 		}
@@ -598,16 +516,6 @@ func (it *graceJoinIter) recoverInnerBudget(err error) (rerr error, handled bool
 	if it.emitted || !errors.As(err, &be) || be.Limit == "spill" {
 		return nil, false
 	}
-	if it.inflight {
-		// The squeeze may be the prefetch's resident charges rather
-		// than this pair's own footprint: reclaim the prefetch and
-		// retry the pair with the full budget before concluding it
-		// needs re-partitioning.
-		it.inner.Close()
-		it.reclaimPrefetch()
-		it.inner = newJoinIter(it.ctx, nil, it.kind, it.curL, it.curR, it.on)
-		return nil, true
-	}
 	if it.cur.depth >= it.maxDepth {
 		if it.maxDepth == 0 {
 			return nil, false
@@ -621,66 +529,25 @@ func (it *graceJoinIter) recoverInnerBudget(err error) (rerr error, handled bool
 	it.inner = nil
 	it.tr.Refund(it.loadedRows, it.loadedBytes)
 	it.loadedRows, it.loadedBytes = 0, 0
-	it.reclaimPrefetch()
 	if err := it.recurse(it.cur); err != nil {
 		return err, true
 	}
 	return nil, true
 }
 
-// reclaimPrefetch drains an in-flight prefetch and requeues its task
-// at the queue head for a serial retry, refunding anything it loaded.
-// Called before a recursion triggered outside nextPair so
-// re-partitioning never runs concurrently with a prefetch reader.
-func (it *graceJoinIter) reclaimPrefetch() {
-	if !it.inflight {
-		return
-	}
-	p := it.receivePrefetch()
-	it.tr.Refund(p.rows, p.bytes)
-	it.queue = append([]pairTask{p.task}, it.queue...)
-}
-
-// nextPair produces the next loaded partition pair: from the prefetch
-// worker when one is in flight, serially otherwise, recursing on
-// budget refusals until the pair fits or the depth limit is hit.
+// nextPair loads the next partition pair, recursing on budget
+// refusals until the pair fits or the depth limit is hit.
 func (it *graceJoinIter) nextPair() (*relation.Relation, *relation.Relation, bool, error) {
-	for {
-		var task pairTask
-		var lrel, rrel *relation.Relation
-		var rows, bytes int64
-		var err error
-		fromPrefetch := false
-		if it.inflight {
-			p := it.receivePrefetch()
-			task, lrel, rrel, rows, bytes, err = p.task, p.lrel, p.rrel, p.rows, p.bytes, p.err
-			fromPrefetch = err == nil
-			if cerr := it.ctx.Err(); cerr != nil {
-				it.tr.Refund(rows, bytes)
-				return nil, nil, false, cerr
-			}
-			if errors.Is(err, errPrefetchMiss) {
-				lrel, rrel, rows, bytes, err = it.loadPairSerial(task)
-			}
-		} else {
-			if len(it.queue) == 0 {
-				return nil, nil, false, nil
-			}
-			task = it.queue[0]
-			it.queue = it.queue[1:]
-			lrel, rrel, rows, bytes, err = it.loadPairSerial(task)
-		}
+	for len(it.queue) > 0 {
+		task := it.queue[0]
+		it.queue = it.queue[1:]
+		lrel, rrel, rows, bytes, err := it.loadPair(task)
 		if err == nil {
 			it.cur = task
 			it.loadedRows, it.loadedBytes = rows, bytes
-			if fromPrefetch {
-				cPrefetchHits.Inc()
-				it.tr.NotePrefetchHit()
-			}
-			it.startPrefetch()
 			return lrel, rrel, true, nil
 		}
-		// Partial charges were refunded by load. Only an in-memory
+		// Partial charges were refunded by the load. Only an in-memory
 		// budget refusal is recursable: I/O faults, ctx cancellation,
 		// and the disk cap propagate as typed aborts unchanged.
 		var be *budget.Error
@@ -702,67 +569,29 @@ func (it *graceJoinIter) nextPair() (*relation.Relation, *relation.Relation, boo
 			return nil, nil, false, rerr
 		}
 	}
+	return nil, nil, false, nil
 }
 
-func (it *graceJoinIter) loadPairSerial(task pairTask) (*relation.Relation, *relation.Relation, int64, int64, error) {
-	lrel, lr, lb, err := task.l.load(it.tr, it.tr.Charge, nil)
+// loadPair loads both halves of a task, charged. A pair that is not
+// returned — an error or a panic in the right half's load — refunds
+// the left half's charges too.
+func (it *graceJoinIter) loadPair(task pairTask) (*relation.Relation, *relation.Relation, int64, int64, error) {
+	lrel, lr, lb, err := task.l.load(it.tr)
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
-	rrel, rr, rb, err := task.r.load(it.tr, it.tr.Charge, nil)
-	if err != nil {
-		it.tr.Refund(lr, lb)
-		return nil, nil, 0, 0, err
-	}
-	return lrel, rrel, lr + rr, lb + rb, nil
-}
-
-// startPrefetch hands the queue head to the worker goroutine. The
-// worker charges through ChargeHeadroom so it can never consume the
-// slack the foreground join needs for its own output batches, and
-// always sends exactly one result (Close drains it), also when it
-// panics: the panic travels in the result to the consuming goroutine.
-func (it *graceJoinIter) startPrefetch() {
-	if it.inflight || len(it.queue) == 0 {
-		return
-	}
-	task := it.queue[0]
-	it.queue = it.queue[1:]
-	it.inflight = true
-	go func() {
-		// The worker's outstanding charges, for the panic path, where
-		// load's own refunds never run.
-		var chargedRows, chargedBytes int64
-		defer func() {
-			if r := recover(); r != nil {
-				it.pch <- prefetched{task: task, rows: chargedRows, bytes: chargedBytes, panicked: r}
-			}
-		}()
-		if err := fault.Inject("spill.prefetch"); err != nil {
-			it.pch <- prefetched{task: task, err: spill.Fail("prefetch", err)}
-			return
-		}
-		charge := func(rows, bytes int64) error {
-			if !it.tr.ChargeHeadroom(rows, bytes, it.slackRows, it.slackBytes) {
-				return errPrefetchMiss
-			}
-			chargedRows += rows
-			chargedBytes += bytes
-			return nil
-		}
-		lrel, lr, lb, err := task.l.load(it.tr, charge, it.pctx)
-		if err != nil {
-			it.pch <- prefetched{task: task, err: err}
-			return
-		}
-		rrel, rr, rb, err := task.r.load(it.tr, charge, it.pctx)
-		if err != nil {
+	loaded := false
+	defer func() {
+		if !loaded {
 			it.tr.Refund(lr, lb)
-			it.pch <- prefetched{task: task, err: err}
-			return
 		}
-		it.pch <- prefetched{task: task, lrel: lrel, rrel: rrel, rows: lr + rr, bytes: lb + rb}
 	}()
+	rrel, rr, rb, err := task.r.load(it.tr)
+	if err != nil {
+		return nil, nil, 0, 0, err
+	}
+	loaded = true
+	return lrel, rrel, lr + rr, lb + rb, nil
 }
 
 // releaseTask retires a completed (or recursed) task, closing its
@@ -781,13 +610,14 @@ func (it *graceJoinIter) releaseTask(task pairTask) {
 // depth's salt and queues the fan-out child pairs. The parent disk
 // partitions are dropped once split (their bytes refunded); in-memory
 // halves split into salted sub-groups sharing the parent's storage.
-// Runs only on the foreground with no prefetch in flight, so no reader
-// races the re-partitioning.
+// The child sets are registered with the iterator before either half
+// splits, so Close removes them whatever the split does.
 func (it *graceJoinIter) recurse(task pairTask) error {
 	depth := task.depth + 1
 	salt := spill.DepthSalt(depth)
 	fan := spill.DefaultPartitions
 	owner := &childSets{remaining: fan}
+	it.owners = append(it.owners, owner)
 	split := func(src pairSrc) (*spill.PartitionSet, []*relation.Relation, error) {
 		if src.ps == nil {
 			return nil, splitRelSalted(src.rel, src.scheme, src.cols, fan, salt), nil
@@ -796,22 +626,19 @@ func (it *graceJoinIter) recurse(task pairTask) error {
 		if err != nil {
 			return nil, nil, err
 		}
-		src.ps.DropPart(src.idx)
 		owner.sets = append(owner.sets, child)
+		src.ps.DropPart(src.idx)
 		it.tr.NoteRecursion(depth)
 		return child, nil, nil
 	}
 	lps, lsub, err := split(task.l)
 	if err != nil {
-		owner.close()
 		return err
 	}
 	rps, rsub, err := split(task.r)
 	if err != nil {
-		owner.close()
 		return err
 	}
-	it.owners = append(it.owners, owner)
 	for i := 0; i < fan; i++ {
 		ct := pairTask{depth: depth, owner: owner}
 		ct.l = childSrc(task.l, lps, lsub, i)

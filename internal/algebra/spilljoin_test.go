@@ -254,9 +254,9 @@ func skewJoinInstance(t *testing.T, rows int) (*relation.Instance, *relation.Rel
 
 // The spill-v2 differential property: a Zipf-skewed join at ~8x the
 // resident cap — which recursion-less spill cannot complete — must,
-// with recursive re-partitioning and prefetch in play, be
-// byte-identical to the unlimited in-memory join, refund every
-// charge, and actually exercise the new machinery (recursions > 0).
+// with recursive re-partitioning in play, be byte-identical to the
+// unlimited in-memory join, refund every charge, and actually exercise
+// the recursion (recursions > 0).
 func TestBudgetSpillJoinSkewRecursionDifferential(t *testing.T) {
 	in, l, r := skewJoinInstance(t, 6144)
 	pred := expr.MustParse("L.k = R.k")
@@ -286,7 +286,7 @@ func TestBudgetSpillJoinSkewRecursionDifferential(t *testing.T) {
 		if tr.SpillDepth() < 1 {
 			t.Fatalf("%s: SpillDepth = %d, want >= 1", label, tr.SpillDepth())
 		}
-		if n, _, _ := tr.PartitionStats(); n == 0 {
+		if n, _ := tr.PartitionStats(); n == 0 {
 			t.Fatalf("%s: no partition statistics recorded", label)
 		}
 		if tr.PartitionSkew() < 1 {
@@ -380,69 +380,104 @@ func TestBudgetSpillJoinHotKeyRecursionExhausted(t *testing.T) {
 	}
 }
 
-// A fault at the prefetch point must surface from the join as a typed
-// spill error labeled "prefetch", with every charge refunded and no
-// partition files left — a dead prefetch worker never wedges or leaks.
-func TestChaosSpillJoinPrefetchFaultTypedAbort(t *testing.T) {
+// A panic at any spill fault point of a Grace join — while a side
+// sinks, while a partition pair loads, while an oversized pair splits —
+// must leave no charge and no partition file once it has unwound
+// through Drain, and once the point is spent the same join must give
+// the unlimited join's answer. The skewed case recurses, so the
+// re-partitioning points fire too; a point a run never reaches must
+// leave the run unfaulted.
+func TestChaosSpillJoinPanicLeavesNoResidue(t *testing.T) {
 	fault.Enable(1)
 	defer fault.Disable()
-	fault.Set("spill.prefetch", fault.Spec{Mode: fault.ModeError, Times: 1})
-
-	in, _, _ := spillJoinInstance(t, 900)
-	dir := t.TempDir()
-	tr := budget.NewTracker(budget.Budget{MaxBytes: 49152, SpillDir: dir})
-	ctx := budget.With(context.Background(), tr)
-	j := Join{Kind: InnerJoin, On: expr.MustParse("L.k = R.k"),
-		L: Select{Child: NewScan("L", ""), Pred: expr.MustParse("TRUE")},
-		R: Select{Child: NewScan("R", ""), Pred: expr.MustParse("TRUE")},
+	pred := expr.MustParse("L.k = R.k")
+	type outcome struct {
+		rel   *relation.Relation
+		err   error
+		panic any
 	}
-	it, err := j.Open(ctx, in)
-	if err == nil {
-		_, err = Drain(it)
-	}
-	if !errors.Is(err, spill.ErrSpill) || !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("prefetch fault surfaced as %v, want spill.ErrSpill via fault.ErrInjected", err)
-	}
-	var ioe *spill.IOError
-	if !errors.As(err, &ioe) || ioe.Op != "prefetch" {
-		t.Fatalf("prefetch fault labeled %v, want IOError{Op: prefetch}", err)
-	}
-	if tr.Rows() != 0 || tr.Bytes() != 0 || tr.SpillBytes() != 0 {
-		t.Fatalf("prefetch fault leaked charges: rows=%d bytes=%d spill=%d", tr.Rows(), tr.Bytes(), tr.SpillBytes())
-	}
-	left, _ := filepath.Glob(filepath.Join(dir, "clio-spill-*.part"))
-	if len(left) != 0 {
-		t.Fatalf("prefetch fault left partition files: %v", left)
-	}
-}
-
-// A prefetch worker that panicked hands its panic and its outstanding
-// charges to the consumer: taking the result (nextPair and
-// reclaimPrefetch) refunds the charges and re-raises the panic, and so
-// does Close, after its cleanup, when the result was never taken.
-func TestPrefetchPanicRefundsThenReraises(t *testing.T) {
-	for _, viaClose := range []bool{false, true} {
-		tr := budget.NewTracker(budget.Budget{MaxBytes: 1 << 20})
-		if err := tr.Charge(5, 500); err != nil {
-			t.Fatal(err)
+	run := func(kind JoinKind, in *relation.Instance, tr *budget.Tracker) (o outcome) {
+		defer func() { o.panic = recover() }()
+		j := Join{Kind: kind, On: pred,
+			L: Select{Child: NewScan("L", ""), Pred: expr.MustParse("TRUE")},
+			R: Select{Child: NewScan("R", ""), Pred: expr.MustParse("TRUE")},
 		}
-		it := &graceJoinIter{tr: tr, pch: make(chan prefetched, 1), inflight: true}
-		it.pch <- prefetched{rows: 5, bytes: 500, panicked: "boom"}
-		got := func() (r any) {
-			defer func() { r = recover() }()
-			if viaClose {
-				it.Close()
-			} else {
-				it.receivePrefetch()
+		it, err := j.Open(budget.With(context.Background(), tr), in)
+		if err != nil {
+			o.err = err
+			return o
+		}
+		o.rel, o.err = Drain(it)
+		return o
+	}
+	noResidue := func(t *testing.T, tr *budget.Tracker, dir string) {
+		t.Helper()
+		if tr.Rows() != 0 || tr.Bytes() != 0 || tr.SpillBytes() != 0 {
+			t.Fatalf("residue: rows=%d bytes=%d spill=%d", tr.Rows(), tr.Bytes(), tr.SpillBytes())
+		}
+		if left, _ := filepath.Glob(filepath.Join(dir, "clio-spill-*.part")); len(left) != 0 {
+			t.Fatalf("residue: %d partition files: %v", len(left), left)
+		}
+	}
+	// At 1536 rows a side and a 32 KiB cap, a few first-level pairs
+	// exceed the cap and recurse once.
+	skewIn, skewL, skewR := skewJoinInstance(t, 1536)
+	plainIn, plainL, plainR := spillJoinInstance(t, 900)
+	cases := []struct {
+		name string
+		kind JoinKind
+		in   *relation.Instance
+		l, r *relation.Relation
+		cap  int64
+	}{
+		{"plain", FullJoin, plainIn, plainL, plainR, 49152},
+		{"skew", InnerJoin, skewIn, skewL, skewR, 32768},
+	}
+	points := []string{"spill.create", "spill.write", "spill.flush", "spill.read", "spill.repartition"}
+	// The plain case's left side writes 900 frames, so a write fault
+	// after 1000 strikes while the right side sinks.
+	afters := []int{0, 3, 40, 400, 1000}
+	fired := map[string]int{}
+	for _, c := range cases {
+		want := JoinRelations(c.kind, c.l, c.r, pred)
+		exact := func(t *testing.T, o outcome) {
+			t.Helper()
+			if o.panic != nil || o.err != nil {
+				t.Fatalf("unfaulted run: panic %v, err %v", o.panic, o.err)
 			}
-			return nil
-		}()
-		if got != "boom" {
-			t.Errorf("close=%v: recovered %v, want the worker's panic", viaClose, got)
+			requireSameRelation(t, c.name, o.rel, want)
 		}
-		if tr.Rows() != 0 || tr.Bytes() != 0 || it.inflight {
-			t.Errorf("close=%v: rows=%d bytes=%d inflight=%v after the re-raise, want all clear",
-				viaClose, tr.Rows(), tr.Bytes(), it.inflight)
+		for _, point := range points {
+			for _, after := range afters {
+				t.Run(fmt.Sprintf("%s/%s/after%d", c.name, point, after), func(t *testing.T) {
+					fault.Set(point, fault.Spec{Mode: fault.ModePanic, After: after, Times: 1})
+					defer fault.Clear(point)
+					dir := t.TempDir()
+					spilled := func() *budget.Tracker {
+						return budget.NewTracker(budget.Budget{MaxBytes: c.cap, SpillDir: dir})
+					}
+					tr := spilled()
+					got := run(c.kind, c.in, tr)
+					if fault.Fired(point) == 0 {
+						exact(t, got)
+						noResidue(t, tr, dir)
+						return
+					}
+					fired[point]++
+					if _, ok := got.panic.(*fault.Panic); !ok {
+						t.Fatalf("recovered %v (err %v), want the injected panic", got.panic, got.err)
+					}
+					noResidue(t, tr, dir)
+					tr = spilled()
+					exact(t, run(c.kind, c.in, tr))
+					noResidue(t, tr, dir)
+				})
+			}
+		}
+	}
+	for _, point := range points {
+		if fired[point] == 0 {
+			t.Errorf("%s never fired — its cases are vacuous", point)
 		}
 	}
 }

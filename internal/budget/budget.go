@@ -136,16 +136,14 @@ type Tracker struct {
 	parts   atomic.Int64
 	written atomic.Int64
 	// Spill-tier statistics recorded by the partitioning operators so
-	// the picker and EXPLAIN can reason about partition shape without
-	// re-reading the files: per-partition maxima/sums (skew), recursion
-	// events with the deepest level reached, and prefetch hits.
-	partCount     atomic.Int64
-	partMaxTuples atomic.Int64
-	partMaxBytes  atomic.Int64
-	partSumBytes  atomic.Int64
-	recursions    atomic.Int64
-	depthMax      atomic.Int64
-	prefetchHits  atomic.Int64
+	// EXPLAIN can report partition shape without re-reading the files:
+	// the per-partition byte maximum and sum (skew), and recursion
+	// events with the deepest level reached.
+	partCount    atomic.Int64
+	partMaxBytes atomic.Int64
+	partSumBytes atomic.Int64
+	recursions   atomic.Int64
+	depthMax     atomic.Int64
 }
 
 // NewTracker creates a tracker for the budget. An unlimited budget
@@ -183,31 +181,6 @@ func (t *Tracker) Charge(rows, bytes int64) error {
 	t.bytes.Add(bytes)
 	t.mu.Unlock()
 	return nil
-}
-
-// ChargeHeadroom reserves rows/bytes like Charge but refuses — without
-// treating it as a budget violation — unless the post-charge usage
-// stays at least slackRows/slackBytes below the caps. Prefetch workers
-// use it: an opportunistic load must never consume the headroom the
-// foreground join needs for its own output batches, so a refused
-// headroom charge is a cache miss (the caller retries with a plain
-// Charge once it is the foreground), not an abort. The returned bool
-// reports whether the charge was taken.
-func (t *Tracker) ChargeHeadroom(rows, bytes, slackRows, slackBytes int64) bool {
-	if t == nil {
-		return true
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	r := t.rows.Load() + rows
-	by := t.bytes.Load() + bytes
-	if (t.b.MaxRows > 0 && r > t.b.MaxRows-slackRows) ||
-		(t.b.MaxBytes > 0 && by > t.b.MaxBytes-slackBytes) {
-		return false
-	}
-	t.rows.Add(rows)
-	t.bytes.Add(bytes)
-	return true
 }
 
 // Refund returns previously charged rows/bytes to the budget. Only
@@ -321,16 +294,15 @@ func (t *Tracker) RecursionLimit() int {
 	}
 }
 
-// NotePartition records one spill partition's final tuple/byte counts
-// so the picker and EXPLAIN can estimate skew and recursion depth
-// without re-reading the files. Safe for concurrent use.
-func (t *Tracker) NotePartition(tuples, bytes int64) {
+// NotePartition records one spill partition's final byte count so
+// EXPLAIN can report skew without re-reading the files. Safe for
+// concurrent use.
+func (t *Tracker) NotePartition(bytes int64) {
 	if t == nil {
 		return
 	}
 	t.partCount.Add(1)
 	t.partSumBytes.Add(bytes)
-	atomicMax(&t.partMaxTuples, tuples)
 	atomicMax(&t.partMaxBytes, bytes)
 }
 
@@ -344,12 +316,12 @@ func atomicMax(a *atomic.Int64, v int64) {
 }
 
 // PartitionStats returns the recorded partition count and the largest
-// partition's tuple/byte counts.
-func (t *Tracker) PartitionStats() (count, maxTuples, maxBytes int64) {
+// partition's byte count.
+func (t *Tracker) PartitionStats() (count, maxBytes int64) {
 	if t == nil {
-		return 0, 0, 0
+		return 0, 0
 	}
-	return t.partCount.Load(), t.partMaxTuples.Load(), t.partMaxBytes.Load()
+	return t.partCount.Load(), t.partMaxBytes.Load()
 }
 
 // PartitionSkew reports how unbalanced the recorded partitions are:
@@ -360,7 +332,7 @@ func (t *Tracker) PartitionSkew() float64 {
 	if t == nil {
 		return 0
 	}
-	n, _, max := t.PartitionStats()
+	n, max := t.PartitionStats()
 	sum := t.partSumBytes.Load()
 	if n == 0 || sum == 0 {
 		return 0
@@ -395,23 +367,6 @@ func (t *Tracker) SpillDepth() int64 {
 	return t.depthMax.Load()
 }
 
-// NotePrefetchHit records one partition pair that was consumed from
-// the prefetch worker instead of being loaded serially.
-func (t *Tracker) NotePrefetchHit() {
-	if t == nil {
-		return
-	}
-	t.prefetchHits.Add(1)
-}
-
-// PrefetchHits returns the recorded prefetch hit count.
-func (t *Tracker) PrefetchHits() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.prefetchHits.Load()
-}
-
 // SpillDepthLowerBound returns a certain lower bound on the recursion
 // depth needed before a partition whose load charges at least `load`
 // units can fit under `cap`: one re-partition level divides a
@@ -420,7 +375,7 @@ func (t *Tracker) PrefetchHits() int64 {
 // exact for rows (one frame = one resident row) and conservative for
 // bytes (frame bytes on disk are always below the resident
 // ApproxBytes of the decoded tuple), so "lower bound > depth limit"
-// proves every recursive replay must fail — the picker may abort
+// proves every recursive replay must fail — the join may abort
 // before paying the I/O. Returns 0 when cap is unlimited or load
 // already fits.
 func SpillDepthLowerBound(load, cap int64, fanout int) int {
@@ -506,8 +461,8 @@ func (f *Flow) Charge(rows, bytes int64) error {
 		return f.t.Charge(rows, bytes)
 	}
 	// Charge the difference in one step rather than refunding the old
-	// batch first: a concurrent charger (the Grace join's prefetch)
-	// must never take the old batch's room before the new one is in.
+	// batch first: a concurrent charger on the same tracker must never
+	// take the old batch's room before the new one is in.
 	if err := f.t.Charge(rows-f.rows, bytes-f.byts); err != nil {
 		f.t.Refund(f.rows, f.byts)
 		f.rows, f.byts = 0, 0

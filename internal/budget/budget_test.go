@@ -121,8 +121,7 @@ func TestBudgetRefusedChargeNeverFailsAFittingCharge(t *testing.T) {
 		}
 	}
 	refusers.Add(3)
-	// The Grace join's prefetch worker asks for headroom it cannot get.
-	go refuse(func() bool { return tr.ChargeHeadroom(0, 4096, 0, 6144) })
+	go refuse(func() bool { return tr.Charge(0, 6144) == nil })
 	go refuse(func() bool { return tr.Charge(0, 8192) == nil })
 	go refuse(func() bool { return tr.ChargeSpill(8192) == nil })
 
@@ -162,9 +161,9 @@ func TestBudgetRefusedChargeNeverFailsAFittingCharge(t *testing.T) {
 }
 
 // A Flow swaps one batch's charge for the next in one step: a
-// concurrent headroom charger that fits only while the old batch is
-// refunded never gets in, so the next batch, which fits in the old
-// one's room, is never refused.
+// concurrent charger that fits only while the old batch is refunded
+// never gets in, so the next batch, which fits in the old one's room,
+// is never refused.
 func TestBudgetFlowSwapNeverExposesTheOldBatch(t *testing.T) {
 	tr := NewTracker(Budget{MaxBytes: 48 << 10, SpillDir: t.TempDir()})
 	if err := tr.Charge(0, 36_000); err != nil {
@@ -174,8 +173,8 @@ func TestBudgetFlowSwapNeverExposesTheOldBatch(t *testing.T) {
 	if err := f.Charge(64, 8192); err != nil {
 		t.Fatal(err)
 	}
-	// 36,000 + 8,192 + 6,000 exceeds the cap minus the 6,144 slack,
-	// but 36,000 + 6,000 does not.
+	// 36,000 + 6,000 fits the 49,152 cap, but 36,000 + 8,192 + 6,000
+	// does not: the charger fits only while the old batch is exposed.
 	stop := make(chan struct{})
 	var taken atomic.Int64
 	done := make(chan struct{})
@@ -187,7 +186,7 @@ func TestBudgetFlowSwapNeverExposesTheOldBatch(t *testing.T) {
 				return
 			default:
 			}
-			if tr.ChargeHeadroom(0, 6000, 0, 6144) {
+			if tr.Charge(0, 6000) == nil {
 				taken.Add(1)
 				tr.Refund(0, 6000)
 			}
@@ -202,7 +201,7 @@ func TestBudgetFlowSwapNeverExposesTheOldBatch(t *testing.T) {
 	close(stop)
 	<-done
 	if n := taken.Load(); n > 0 || failed > 0 {
-		t.Fatalf("the headroom charger got in %d times and %d same-size batches were refused", n, failed)
+		t.Fatalf("the concurrent charger got in %d times and %d same-size batches were refused", n, failed)
 	}
 	f.Release()
 	if tr.Bytes() != 36_000 {

@@ -148,67 +148,30 @@ func TestBudgetRecursionLimitEncoding(t *testing.T) {
 	}
 }
 
-// ChargeHeadroom refuses when the charge would eat into the reserved
-// slack and leaves usage untouched on refusal; within headroom it
-// behaves like Charge.
-func TestBudgetChargeHeadroom(t *testing.T) {
-	tr := NewTracker(Budget{MaxRows: 100, MaxBytes: 1000})
-	if !tr.ChargeHeadroom(50, 500, 10, 100) {
-		t.Fatal("charge well under caps refused")
-	}
-	// 50+45 = 95 > 100-10: refused, and usage must stay at 50/500.
-	if tr.ChargeHeadroom(45, 0, 10, 100) {
-		t.Fatal("charge into row slack accepted")
-	}
-	if tr.Rows() != 50 || tr.Bytes() != 500 {
-		t.Fatalf("refused charge leaked: rows=%d bytes=%d", tr.Rows(), tr.Bytes())
-	}
-	// 500+401 = 901 > 1000-100: byte slack refuses independently.
-	if tr.ChargeHeadroom(0, 401, 10, 100) {
-		t.Fatal("charge into byte slack accepted")
-	}
-	// Exactly at the slack boundary is allowed (usage == cap-slack).
-	if !tr.ChargeHeadroom(40, 400, 10, 100) {
-		t.Fatal("charge up to the slack boundary refused")
-	}
-	if tr.Rows() != 90 || tr.Bytes() != 900 {
-		t.Fatalf("usage after boundary charge: rows=%d bytes=%d", tr.Rows(), tr.Bytes())
-	}
-	// A nil tracker always accepts (unlimited budget).
-	var nilTr *Tracker
-	if !nilTr.ChargeHeadroom(1, 1, 1, 1) {
-		t.Fatal("nil tracker refused a headroom charge")
-	}
-}
-
-// Partition statistics: count, max tuples/bytes, and the skew ratio
+// Partition statistics: count, max bytes, and the skew ratio
 // max*n/sum (1.0 uniform, n fully concentrated).
 func TestBudgetPartitionStats(t *testing.T) {
 	tr := NewTracker(Budget{MaxRows: 1 << 20})
-	if n, _, _ := tr.PartitionStats(); n != 0 || tr.PartitionSkew() != 0 {
+	if n, _ := tr.PartitionStats(); n != 0 || tr.PartitionSkew() != 0 {
 		t.Fatal("fresh tracker has partition stats")
 	}
-	tr.NotePartition(10, 100)
-	tr.NotePartition(30, 300)
-	tr.NotePartition(20, 200)
-	n, maxT, maxB := tr.PartitionStats()
-	if n != 3 || maxT != 30 || maxB != 300 {
-		t.Fatalf("stats = (%d, %d, %d), want (3, 30, 300)", n, maxT, maxB)
+	tr.NotePartition(100)
+	tr.NotePartition(300)
+	tr.NotePartition(200)
+	n, maxB := tr.PartitionStats()
+	if n != 3 || maxB != 300 {
+		t.Fatalf("stats = (%d, %d), want (3, 300)", n, maxB)
 	}
 	// 300 * 3 / 600 = 1.5
 	if got := tr.PartitionSkew(); got != 1.5 {
 		t.Fatalf("skew = %v, want 1.5", got)
 	}
-	// Recursion and prefetch counters ride on the same tracker.
+	// Recursion counters ride on the same tracker.
 	tr.NoteRecursion(1)
 	tr.NoteRecursion(3)
 	tr.NoteRecursion(2)
 	if tr.SpillRecursions() != 3 || tr.SpillDepth() != 3 {
 		t.Fatalf("recursions=%d depth=%d, want 3 and 3", tr.SpillRecursions(), tr.SpillDepth())
-	}
-	tr.NotePrefetchHit()
-	if tr.PrefetchHits() != 1 {
-		t.Fatalf("prefetch hits = %d, want 1", tr.PrefetchHits())
 	}
 }
 

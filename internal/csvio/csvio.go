@@ -113,6 +113,18 @@ func WriteRelation(w io.Writer, r *relation.Relation) error {
 				rec[i] = v.String()
 			}
 		}
+		if len(rec) == 1 && rec[0] == "" {
+			// csv.Writer writes a lone empty field as a blank line,
+			// which readers skip; a quoted empty field keeps the row.
+			cw.Flush()
+			if err := cw.Error(); err != nil {
+				return err
+			}
+			if _, err := io.WriteString(w, "\"\"\n"); err != nil {
+				return err
+			}
+			continue
+		}
 		if err := cw.Write(rec); err != nil {
 			return err
 		}

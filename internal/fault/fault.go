@@ -1,10 +1,11 @@
 // Package fault provides deterministic fault injection for chaos
 // testing. Production code plants named injection points at its
-// failure boundaries (journal I/O, cache store/hit, fd worker
-// dispatch); tests arm them with a seeded plan that injects errors,
-// delays, or panics on a deterministic schedule. When the package is
-// disabled — the default — every injection point reduces to a single
-// atomic load and returns nil, so shipping the points costs nothing.
+// failure boundaries (journal I/O, cache store/hit, spill file I/O,
+// join worker dispatch); tests arm them with a seeded plan that
+// injects errors, delays, or panics on a deterministic schedule. When
+// the package is disabled — the default — every injection point
+// reduces to a single atomic load and returns nil, so shipping the
+// points costs nothing.
 //
 // Determinism: the same seed and the same sequence of Inject calls
 // per point produce the same injection decisions, so a chaos run that

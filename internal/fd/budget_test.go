@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"path/filepath"
-	"runtime"
 	"testing"
 
 	"clio/internal/fault"
@@ -98,42 +96,6 @@ func TestBudgetAppliesToCacheHits(t *testing.T) {
 	ctx := WithBudget(context.Background(), Budget{MaxRows: int64(warm.Len()) - 1})
 	if _, err := Compute(ctx, g, in); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("cache hit ignored the budget: %v", err)
-	}
-}
-
-// An injected panic inside a spill-replay worker must unwind on the
-// calling goroutine — where the serving layer's recovery answers 500 —
-// rather than crash the process or hang the WaitGroup; it must release
-// the spill files, and the next computation must succeed untouched.
-func TestChaosWorkerPanicContained(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // replay fans out to ≥2 workers
-	fault.Enable(1)
-	defer fault.Disable()
-	fault.Set("fd.worker", fault.Spec{Mode: fault.ModePanic, Times: 1})
-
-	g, in := spillDGCase(3, 8, 6, false)
-	dir := t.TempDir()
-	spilled := func() context.Context {
-		return WithBudget(context.Background(), Budget{MaxBytes: 131072, SpillDir: dir})
-	}
-	func() {
-		defer func() {
-			p := recover()
-			if _, ok := p.(*fault.Panic); !ok {
-				t.Fatalf("recovered %v, want the injected worker panic", p)
-			}
-		}()
-		_, _ = computeUncached(spilled(), g, in)
-	}()
-	if fault.Fired("fd.worker") != 1 {
-		t.Fatalf("fd.worker fired %d times, want 1 (did the replay run in parallel?)", fault.Fired("fd.worker"))
-	}
-	if left, _ := filepath.Glob(filepath.Join(dir, "clio-spill-*.part")); len(left) != 0 {
-		t.Fatalf("worker panic left spill files: %v", left)
-	}
-	// The point is exhausted (Times: 1): the retry must succeed.
-	if _, err := computeUncached(spilled(), g, in); err != nil {
-		t.Fatalf("computation after contained panic failed: %v", err)
 	}
 }
 

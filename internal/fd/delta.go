@@ -265,11 +265,13 @@ func GraphReadsBase(g *graph.QueryGraph, base string) bool {
 
 // MaintainRows updates a D(G) after one row edit of base (t inserted
 // into or deleted from the instance, which is already mutated). It
-// routes between the O(delta) application and a full rebuild with the
-// same budget-headroom framework as the other pickers, returning the
-// refreshed relation, the materialization to keep for the next edit,
-// and the chosen mode ("delta" or "recompute") — which is also left on
-// the context's notes scratchpad as "dg_maint" for explain surfaces.
+// chooses between the O(delta) application and a full rebuild by
+// testing certain lower bounds on their row charges against the budget
+// headroom, with route's charge-inclusive convention (est == headroom
+// is affordable). It returns the refreshed relation, the
+// materialization to keep for the next edit, and the chosen mode
+// ("delta" or "recompute") — which is also left on the context's notes
+// scratchpad as "dg_maint" for explain surfaces.
 //
 // Error contract: on a budget abort or context cancellation the
 // returned materialization is nil and the caller must treat any prior
@@ -294,8 +296,9 @@ func MaintainRows(ctx context.Context, mat *Materialized, g *graph.QueryGraph, i
 				deltaEst++
 			}
 		}
-		switch pickDelta(deltaEst, rebuildEst, rowHeadroom(ctx)) {
-		case "delta":
+		// A delta bound past the headroom is doomed; the rebuild test
+		// below then refuses or rebuilds.
+		if h := rowHeadroom(ctx); h < 0 || deltaEst <= h {
 			aerr := mat.ApplyRow(ctx, g, in, base, t, del)
 			if aerr == nil {
 				span.SetStr("mode", "delta")
@@ -312,8 +315,6 @@ func MaintainRows(ctx context.Context, mat *Materialized, g *graph.QueryGraph, i
 			}
 			// Anything else (degradation, plan error) falls through to
 			// the rebuild below.
-		case "abort":
-			return nil, nil, "", overBudget(ctx, rebuildEst)
 		}
 	}
 	if h := rowHeadroom(ctx); h >= 0 && rebuildEst > h {

@@ -37,15 +37,11 @@ type ExplainResult struct {
 	SpillBytes int64 `json:"spill_bytes,omitempty"`
 	// SpillDepth is the deepest recursive re-partitioning level the run
 	// reached (0 = no partition exceeded the resident cap);
-	// SpillRecursions counts re-partitioning events and PrefetchHits
-	// the partition pairs served by the join's prefetch worker.
-	// PartitionSkew is the largest partition's share of the spilled
-	// bytes scaled by the partition count (1 = uniform, n = one hot
-	// partition out of n) — the statistic the picker's up-front
-	// feasibility check consumes.
+	// SpillRecursions counts re-partitioning events. PartitionSkew is
+	// the largest partition's share of the spilled bytes scaled by the
+	// partition count (1 = uniform, n = one hot partition out of n).
 	SpillDepth      int64         `json:"spill_depth,omitempty"`
 	SpillRecursions int64         `json:"spill_recursions,omitempty"`
-	PrefetchHits    int64         `json:"prefetch_hits,omitempty"`
 	PartitionSkew   float64       `json:"partition_skew,omitempty"`
 	Duration        time.Duration `json:"-"`
 	Root            *obs.SpanData `json:"-"`
@@ -115,7 +111,6 @@ func ExplainCompute(ctx context.Context, g *graph.QueryGraph, in *relation.Insta
 	res.Spilled = res.SpillParts > 0
 	res.SpillDepth = tr.SpillDepth()
 	res.SpillRecursions = tr.SpillRecursions()
-	res.PrefetchHits = tr.PrefetchHits()
 	res.PartitionSkew = tr.PartitionSkew()
 	if data := span.Data(); data != nil && len(data.Children) > 0 {
 		res.Root = data.Children[0]

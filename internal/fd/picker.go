@@ -5,9 +5,9 @@ package fd
 // and uses the remaining budget headroom as a cost bound: a
 // computation whose certain lower bound on charged rows already
 // exceeds the headroom is refused up front ("abort") with the same
-// typed error a doomed run would eventually hit. pickDelta routes row
-// edits of a materialized D(G) and pickSpillReplay the spill tier's
-// finalize step.
+// typed error a doomed run would eventually hit. It is the only
+// picker: MaintainRows applies the same headroom test to its delta and
+// rebuild bounds inline.
 //
 // The estimates are true lower bounds, never heuristics: abort must
 // only fire when the computation is guaranteed to exceed the budget,
@@ -99,7 +99,7 @@ func route(ctx context.Context, g *graph.QueryGraph, in *relation.Instance) (alg
 // Boundary convention: budget.Tracker.Charge is charge-inclusive —
 // charging exactly up to the cap succeeds and only a strict excess
 // errors — so est == headroom is exactly affordable and every refusal
-// comparison here and in pickDelta is strict.
+// comparison here and in MaintainRows is strict.
 func pickAlgo(isTree bool, estimate, headroom int64, spill bool) string {
 	if !spill && headroom >= 0 && estimate > headroom {
 		return "abort"
@@ -108,55 +108,6 @@ func pickAlgo(isTree bool, estimate, headroom int64, spill bool) string {
 		return "outer_join"
 	}
 	return "subgraph"
-}
-
-// pickDelta chooses the row-edit maintenance strategy for
-// MaintainRows. deltaEst is a lower bound on the rows a delta
-// application must charge (each singleton subset over the edited base
-// emits the delta tuple once), rebuildEst a lower bound for rebuilding
-// the materialized D(G) from scratch, and headroom the remaining row
-// budget (negative = unlimited). Same charge-inclusive boundary
-// convention as pickAlgo: est == headroom is affordable.
-//
-//   - "delta": the O(delta) application fits the headroom.
-//   - "rebuild": the delta path is guaranteed to bust the budget but a
-//     rebuild might not (the delta bound can exceed the rebuild bound
-//     only in pathological shapes, but the branch keeps the routing
-//     total).
-//   - "abort": both bounds exceed the headroom.
-func pickDelta(deltaEst, rebuildEst, headroom int64) string {
-	if headroom < 0 || deltaEst <= headroom {
-		return "delta"
-	}
-	if rebuildEst > headroom {
-		return "abort"
-	}
-	return "rebuild"
-}
-
-// pickSpillReplay chooses the dgAccum finalize strategy from the
-// spill-partition statistics the sinks recorded into the tracker
-// (budget.Tracker.NotePartition), so the route is decided before any
-// replay I/O is paid:
-//
-//   - "parallel": every partition's disk footprint fits the resident
-//     caps, so the optimistic concurrent shard replay is expected to
-//     succeed (a refusal still falls back to serial — the statistics
-//     route, the budget decides).
-//   - "serial": the largest partition's disk footprint already exceeds
-//     a cap, so recursion is likely needed and only the serial path
-//     recurses; attempting the parallel phase first would be wasted
-//     I/O.
-//
-// Unlike the join side (algebra's pairReplayBound), no sound abort
-// verdict exists here: replay charges only the deduplicated
-// subsumption front, which can be arbitrarily smaller than the
-// partition's disk footprint — so this picker routes, never refuses.
-func pickSpillReplay(maxPartBytes, maxPartTuples, capBytes, capRows int64) string {
-	if (capBytes > 0 && maxPartBytes > capBytes) || (capRows > 0 && maxPartTuples > capRows) {
-		return "serial"
-	}
-	return "parallel"
 }
 
 // overBudget builds the typed error for an aborted computation: the

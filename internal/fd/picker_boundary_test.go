@@ -14,32 +14,115 @@ import (
 	"clio/internal/value"
 )
 
-// Boundary semantics of the budget-aware pickers, pinned at exact
+// Boundary semantics of the budget-aware routing, pinned at exact
 // equality. budget.Tracker.Charge is charge-inclusive: charging up to
-// the cap succeeds and only a strict excess errors. The pickers must
-// agree — est == headroom is exactly affordable, so every refusal
-// comparison is strict. These tests fail on any off-by-one drift in
-// either direction (refusing affordable work, or accepting doomed
-// work).
+// the cap succeeds and only a strict excess errors. route and
+// MaintainRows must agree — est == headroom is exactly affordable, so
+// every refusal comparison is strict. These tests fail on any
+// off-by-one drift in either direction (refusing affordable work, or
+// accepting doomed work).
 
-func TestPickDeltaBoundaryAtHeadroom(t *testing.T) {
-	cases := []struct {
-		name                           string
-		deltaEst, rebuildEst, headroom int64
-		want                           string
-	}{
-		{"delta at equality", 10, 100, 10, "delta"},
-		{"rebuild at equality", 11, 10, 10, "rebuild"},
-		{"abort when both exceed", 11, 11, 10, "abort"},
-		{"delta at zero equality", 0, 5, 0, "delta"},
-		{"unlimited applies delta", 1 << 40, 1 << 40, -1, "delta"},
+// withHeadroom returns a context whose row budget has exactly h rows
+// left after an unrelated charge of 4 rows.
+func withHeadroom(t *testing.T, h int64) context.Context {
+	t.Helper()
+	ctx := WithBudget(context.Background(), Budget{MaxRows: h + 4})
+	if err := budget.FromContext(ctx).Charge(4, 0); err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		if got := pickDelta(c.deltaEst, c.rebuildEst, c.headroom); got != c.want {
-			t.Errorf("%s: pickDelta(%d, %d, %d) = %q, want %q",
-				c.name, c.deltaEst, c.rebuildEst, c.headroom, got, c.want)
+	return ctx
+}
+
+// selfJoinedBase builds A1—A2—B, where A1 and A2 both scan base A,
+// over one row of A and one row of B that share no key.
+func selfJoinedBase() (*graph.QueryGraph, *relation.Instance) {
+	sch := schema.NewDatabase()
+	for _, n := range []string{"A", "B"} {
+		sch.MustAddRelation(schema.NewRelation(n, schema.Attribute{Name: "k", Type: value.KindInt}))
+	}
+	in := relation.NewInstance(sch)
+	for i, n := range []string{"A", "B"} {
+		r := in.NewRelationFor(n)
+		r.AddValues(value.Int(int64(i)))
+		in.MustAdd(r)
+	}
+	g := graph.New()
+	g.MustAddNode("A1", "A")
+	g.MustAddNode("A2", "A")
+	g.MustAddNode("B", "B")
+	g.MustAddEdge("A1", "A2", expr.Equals("A1.k", "A2.k"))
+	g.MustAddEdge("A2", "B", expr.Equals("A2.k", "B.k"))
+	return g, in
+}
+
+// MaintainRows tests a certain lower bound on the delta's row charge
+// (one row per node over the edited base) and then Σ|R_n| for a
+// rebuild against the row headroom. Each of its three outcomes is
+// pinned where its comparison turns.
+func TestMaintainRowsDeltaBoundaryAtHeadroom(t *testing.T) {
+	materialize := func(g *graph.QueryGraph, in *relation.Instance) *Materialized {
+		t.Helper()
+		mat, err := NewMaterialized(context.Background(), g, in)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return mat
 	}
+	fresh := func(g *graph.QueryGraph, in *relation.Instance) *relation.Relation {
+		t.Helper()
+		want, err := computeUncached(context.Background(), g, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return want
+	}
+
+	t.Run("delta at equality", func(t *testing.T) {
+		// One node scans A, so the delta bound is 1; the new row joins
+		// nothing, so the delta charges exactly that row.
+		g, in := disjointPair()
+		mat := materialize(g, in)
+		a := in.Relation("A")
+		a.AddValues(value.Int(99))
+		ctx := withHeadroom(t, 1)
+		d, mat2, mode, err := MaintainRows(ctx, mat, g, in, "A", a.At(a.Len()-1), false)
+		if err != nil || mode != "delta" || mat2 != mat {
+			t.Fatalf("delta bound == headroom: mode %q, err %v, kept mat %v; want the delta applied", mode, err, mat2 == mat)
+		}
+		if used := budget.FromContext(ctx).Rows(); used != 5 {
+			t.Fatalf("delta charged %d rows in all, want 5", used)
+		}
+		requireSameDG(t, d, fresh(g, in))
+	})
+
+	t.Run("recompute when only the rebuild fits", func(t *testing.T) {
+		// Two nodes scan A, so the delta bound is 2. Deleting A's only
+		// row leaves Σ|R_n| = |B| = 1, exactly the headroom.
+		g, in := selfJoinedBase()
+		mat := materialize(g, in)
+		tp := in.Relation("A").RemoveAt(0)
+		ctx := withHeadroom(t, 1)
+		d, mat2, mode, err := MaintainRows(ctx, mat, g, in, "A", tp, true)
+		if err != nil || mode != "recompute" || mat2 == nil || mat2 == mat {
+			t.Fatalf("delta bound > headroom == rebuild bound: mode %q, err %v; want a rebuild", mode, err)
+		}
+		requireSameDG(t, d, fresh(g, in))
+	})
+
+	t.Run("budget error when both exceed", func(t *testing.T) {
+		g, in := selfJoinedBase()
+		mat := materialize(g, in)
+		tp := in.Relation("A").RemoveAt(0)
+		ctx := withHeadroom(t, 0)
+		_, mat2, _, err := MaintainRows(ctx, mat, g, in, "A", tp, true)
+		var be *BudgetError
+		if !errors.As(err, &be) || be.Got != 5 || mat2 != nil {
+			t.Fatalf("both bounds > headroom returned %v (mat %v), want a budget error reporting 5 rows", err, mat2)
+		}
+		if used := budget.FromContext(ctx).Rows(); used != 4 {
+			t.Fatalf("refused edit charged %d rows beyond the 4 before it", used-4)
+		}
+	})
 }
 
 func TestPickAlgoBoundaryAtHeadroom(t *testing.T) {

@@ -167,29 +167,3 @@ func TestBudgetPickerAbortsDoomedCompute(t *testing.T) {
 		t.Errorf("picker abort still charged %d rows", rows)
 	}
 }
-
-// pickSpillReplay routes finalize to the serial (recursable) replay
-// whenever any single partition's recorded stats exceed a cap —
-// parallel workers share the budget and cannot re-partition — and to
-// the parallel replay otherwise. Zero caps mean unlimited.
-func TestPickSpillReplay(t *testing.T) {
-	cases := []struct {
-		name                        string
-		maxPartBytes, maxPartTuples int64
-		capBytes, capRows           int64
-		want                        string
-	}{
-		{"all partitions fit", 100, 10, 1000, 100, "parallel"},
-		{"bytes exceed cap", 2000, 10, 1000, 100, "serial"},
-		{"tuples exceed cap", 100, 200, 1000, 100, "serial"},
-		{"both exceed", 2000, 200, 1000, 100, "serial"},
-		{"exactly at cap stays parallel", 1000, 100, 1000, 100, "parallel"},
-		{"zero caps are unlimited", 1 << 40, 1 << 40, 0, 0, "parallel"},
-		{"row cap alone applies", 100, 200, 0, 100, "serial"},
-	}
-	for _, c := range cases {
-		if got := pickSpillReplay(c.maxPartBytes, c.maxPartTuples, c.capBytes, c.capRows); got != c.want {
-			t.Fatalf("%s: pickSpillReplay = %q, want %q", c.name, got, c.want)
-		}
-	}
-}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"clio/internal/budget"
@@ -124,29 +123,98 @@ func TestBudgetSpillCyclicDGByteIdentical(t *testing.T) {
 	spillDGDifferential(t, g, in, 131072)
 }
 
-// The spill tier's finalize replay fans the partitions out to parallel
-// workers when they fit the cap; the serial replay must produce the
-// same bytes. GOMAXPROCS pins the fan-out (1 forces the serial replay),
-// and a zero-delay fd.worker fault counts the workers that ran.
-func TestParallelMatchesSequential(t *testing.T) {
-	g, in := spillDGCase(3, 8, 6, false)
+// A panic at any spill fault point of a D(G) computation — while a
+// join side or the accumulator sinks, while a partition loads or
+// replays, while an oversized partition splits — must leave nothing
+// behind once it has unwound: no rows, bytes or spill bytes charged and
+// no partition file. Once the point is spent, the same computation
+// must give the unfaulted outcome exactly. The grid runs the chain
+// (outer-join) and cyclic (subgraph) paths at three caps, each point
+// firing at four depths into the run; a point the run never reaches
+// must leave the run unfaulted.
+func TestChaosSpillPanicLeavesNoResidue(t *testing.T) {
 	fault.Enable(1)
 	defer fault.Disable()
-	replay := func(procs int) (*relation.Relation, int) {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		fault.Set("fd.worker", fault.Spec{Mode: fault.ModeDelay})
-		d, err := computeUncached(WithBudget(context.Background(), Budget{MaxBytes: 131072, SpillDir: t.TempDir()}), g, in)
-		if err != nil {
-			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+	type outcome struct {
+		d     *relation.Relation
+		err   error
+		panic any
+	}
+	run := func(g *graph.QueryGraph, in *relation.Instance, tr *budget.Tracker) (o outcome) {
+		defer func() { o.panic = recover() }()
+		o.d, o.err = computeUncached(budget.With(context.Background(), tr), g, in)
+		return o
+	}
+	sameOutcome := func(t *testing.T, got, want outcome) {
+		t.Helper()
+		if got.panic != nil || fmt.Sprint(got.err) != fmt.Sprint(want.err) {
+			t.Fatalf("outcome: panic %v, err %v; want err %v", got.panic, got.err, want.err)
 		}
-		return d, fault.Fired("fd.worker")
+		if want.err == nil {
+			requireSameDG(t, got.d, want.d)
+		}
 	}
-	seq, seqWorkers := replay(1)
-	par, parWorkers := replay(2)
-	if seqWorkers != 0 || parWorkers < 2 {
-		t.Fatalf("replay workers: %d serial, %d parallel; want 0 and at least 2", seqWorkers, parWorkers)
+	// noResidue checks what a finished run leaves: nothing, or after a
+	// success the one charge of the returned front.
+	noResidue := func(t *testing.T, tr *budget.Tracker, dir string, o outcome) {
+		t.Helper()
+		var rows int64
+		if o.panic == nil && o.err == nil && tr.Rows() != 0 {
+			rows = int64(o.d.Len())
+		}
+		if tr.Rows() != rows || (rows == 0 && tr.Bytes() != 0) || tr.SpillBytes() != 0 {
+			t.Fatalf("residue: rows=%d bytes=%d spill=%d", tr.Rows(), tr.Bytes(), tr.SpillBytes())
+		}
+		if left, _ := filepath.Glob(filepath.Join(dir, "clio-spill-*.part")); len(left) != 0 {
+			t.Fatalf("residue: %d partition files: %v", len(left), left)
+		}
 	}
-	requireSameDG(t, par, seq)
+	points := []string{"spill.create", "spill.write", "spill.flush", "spill.read", "spill.repartition"}
+	fired := map[string]int{}
+	for _, chain := range []bool{true, false} {
+		g, in := spillDGCase(3, 8, 6, chain)
+		shape := map[bool]string{true: "chain", false: "cyclic"}[chain]
+		for _, cap := range []int64{128 << 10, 48 << 10, 16 << 10} {
+			spilled := func(dir string) *budget.Tracker {
+				return budget.NewTracker(budget.Budget{MaxBytes: cap, SpillDir: dir})
+			}
+			want := run(g, in, spilled(t.TempDir()))
+			if want.panic != nil {
+				t.Fatalf("%s at %d KiB: unfaulted run panicked: %v", shape, cap>>10, want.panic)
+			}
+			for _, point := range points {
+				for _, after := range []int{0, 3, 40, 400} {
+					t.Run(fmt.Sprintf("%s/%dKiB/%s/after%d", shape, cap>>10, point, after), func(t *testing.T) {
+						fault.Set(point, fault.Spec{Mode: fault.ModePanic, After: after, Times: 1})
+						defer fault.Clear(point)
+						dir := t.TempDir()
+						tr := spilled(dir)
+						got := run(g, in, tr)
+						if fault.Fired(point) == 0 {
+							sameOutcome(t, got, want)
+							noResidue(t, tr, dir, got)
+							return
+						}
+						fired[point]++
+						if _, ok := got.panic.(*fault.Panic); !ok {
+							t.Fatalf("recovered %v (err %v), want the injected panic", got.panic, got.err)
+						}
+						noResidue(t, tr, dir, got)
+						// The point is spent: the retry is the unfaulted run.
+						tr = spilled(dir)
+						retry := run(g, in, tr)
+						sameOutcome(t, retry, want)
+						noResidue(t, tr, dir, retry)
+					})
+				}
+			}
+		}
+	}
+	for _, point := range points {
+		if fired[point] == 0 {
+			t.Errorf("%s never fired — its cases are vacuous", point)
+		}
+	}
 }
 
 // A spill-file fault mid-computation must degrade to a typed abort —
@@ -233,7 +301,7 @@ func TestBudgetSpillDiskFullTypedAbort(t *testing.T) {
 // The spill-v2 acceptance workload on the D(G) side: a chain-4 graph
 // whose cumulative materialization is >= 8x the resident cap must
 // complete byte-identical to the unlimited run, with partition
-// statistics recorded for the picker.
+// statistics recorded for EXPLAIN.
 func TestBudgetSpillChain4DGByteIdentical(t *testing.T) {
 	g, in := spillDGCase(4, 8, 3, true)
 	const cap = 131072
@@ -254,8 +322,8 @@ func TestBudgetSpillChain4DGByteIdentical(t *testing.T) {
 	if tr.SpillWritten() == 0 {
 		t.Fatal("run under pressure never spilled — the test is vacuous")
 	}
-	if n, _, _ := tr.PartitionStats(); n == 0 {
-		t.Fatal("no partition statistics recorded for the picker")
+	if n, _ := tr.PartitionStats(); n == 0 {
+		t.Fatal("no partition statistics recorded for EXPLAIN")
 	}
 	if tr.SpillBytes() != 0 {
 		t.Fatalf("spill bytes still resident after completion: %d", tr.SpillBytes())

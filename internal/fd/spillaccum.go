@@ -27,23 +27,17 @@ package fd
 // working charges for one charge of the final front, so the caller
 // ends in the same "result is charged" state as a cache hit.
 //
-// Finalize replays the partitions in parallel when the recorded
-// partition statistics say they fit (pickSpillReplay): per-worker
-// shard sets merged into the global front at the end, all-or-nothing —
-// any budget refusal discards the shards and falls back to the serial
-// path. The serial path recursively re-partitions a partition that
-// still exceeds the cap with a fresh per-depth salt, up to the
-// budget's recursion limit; past it the abort is typed with spill
-// state "recursion_exhausted".
+// Finalize replays the partitions one at a time on the calling
+// goroutine. A partition that still exceeds the cap is recursively
+// re-partitioned with a fresh per-depth salt, up to the budget's
+// recursion limit; past it the abort is typed with spill state
+// "recursion_exhausted".
 
 import (
 	"context"
 	"errors"
-	"runtime"
-	"sync"
 
 	"clio/internal/budget"
-	"clio/internal/fault"
 	"clio/internal/relation"
 	"clio/internal/spill"
 )
@@ -60,8 +54,9 @@ type dgSink interface {
 
 // abortOnPanic is deferred by the D(G) algorithms right after they
 // create their sink: a panic unwinding through the computation (a
-// join worker's, re-raised on this goroutine) aborts the sink,
-// refunding its charges and removing its spill files, and continues.
+// spill fault's, or a join worker's re-raised on this goroutine)
+// aborts the sink, refunding its charges and removing its spill files,
+// and continues.
 func abortOnPanic(s dgSink) {
 	if r := recover(); r != nil {
 		s.abort()
@@ -70,7 +65,7 @@ func abortOnPanic(s dgSink) {
 }
 
 // newDGSink picks the accumulator for the tracker's spill mode. ctx
-// bounds the (possibly parallel) finalize replay.
+// bounds the finalize replay.
 func newDGSink(ctx context.Context, tr *budget.Tracker, s *relation.Scheme) dgSink {
 	if tr.SpillEnabled() {
 		return &dgAccum{ctx: ctx, tr: tr, s: s, seen: newTupleSeen(64), rel: relation.New("D(G)", s)}
@@ -266,151 +261,7 @@ func (a *dgAccum) finalize() (*relation.Relation, error) {
 	return out, nil
 }
 
-// replay reduces the spilled partitions into set, routed by the picker:
-// the optimistic parallel shard phase when the recorded partition
-// statistics say the partitions fit the cap, the recursion-capable
-// serial path otherwise — and as the fallback whenever the parallel
-// phase hits a budget refusal (its concurrent charges are optimistic;
-// a refusal discards the shards, never the computation).
-func (a *dgAccum) replay(set *relation.SubsumeSet) error {
-	_, maxTuples, maxBytes := a.tr.PartitionStats()
-	lim := a.tr.Limits()
-	w := finalizeWorkers(a.parts.N())
-	if w > 1 && pickSpillReplay(maxBytes, maxTuples, lim.MaxBytes, lim.MaxRows) == "parallel" {
-		err := a.replayParallel(set, w)
-		if err == nil {
-			return nil
-		}
-		var be *budget.Error
-		if !errors.As(err, &be) || be.Limit == "spill" {
-			return err
-		}
-	}
-	return a.replaySerial(set)
-}
-
-// finalizeWorkers bounds the parallel replay fan-out.
-func finalizeWorkers(parts int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > 4 {
-		w = 4
-	}
-	if w > parts {
-		w = parts
-	}
-	return w
-}
-
-// dgShard is one parallel replay worker's private state.
-type dgShard struct {
-	set         *relation.SubsumeSet
-	rows, bytes int64
-	err         error
-}
-
-// replayParallel replays the partitions across w workers, each
-// reducing its share into a private shard set (charged), then merges
-// the shards into global. All-or-nothing: any worker error refunds
-// every shard and returns — on a budget refusal the caller retries
-// serially from a clean slate (global is untouched until every worker
-// succeeded). Equal tuples live in exactly one partition, so shards
-// never hold cross-shard duplicates and the merge only resolves
-// subsumption between shards.
-func (a *dgAccum) replayParallel(global *relation.SubsumeSet, w int) error {
-	ctx, cancel := context.WithCancel(a.ctx)
-	defer cancel()
-	shards := make([]dgShard, w)
-	panics := make([]any, w)
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panics[wi] = p
-					cancel()
-				}
-			}()
-			sh := &shards[wi]
-			sh.set = relation.NewSubsumeSet(a.s)
-			if err := fault.Inject("fd.worker"); err != nil {
-				sh.err = err
-				cancel()
-				return
-			}
-			for p := wi; p < a.parts.N(); p += w {
-				if err := a.replayPartition(ctx, a.parts, p, sh.set, &sh.rows, &sh.bytes); err != nil {
-					sh.err = err
-					cancel() // stop the other workers promptly
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, p := range panics {
-		if p != nil {
-			// Re-raise on the calling goroutine, where the serving layer's
-			// recovery answers 500, after releasing the charges and files.
-			for i := range shards {
-				a.tr.Refund(shards[i].rows, shards[i].bytes)
-			}
-			a.abort()
-			panic(p)
-		}
-	}
-	var budgetErr, otherErr error
-	for i := range shards {
-		switch err := shards[i].err; {
-		case err == nil:
-		case errors.Is(err, budget.ErrExceeded):
-			if budgetErr == nil {
-				budgetErr = err
-			}
-		case errors.Is(err, context.Canceled) && a.ctx.Err() == nil:
-			// Secondary: our own cancel after another worker failed.
-		default:
-			if otherErr == nil {
-				otherErr = err
-			}
-		}
-	}
-	if budgetErr != nil || otherErr != nil {
-		for i := range shards {
-			a.tr.Refund(shards[i].rows, shards[i].bytes)
-		}
-		if otherErr != nil {
-			return otherErr
-		}
-		return budgetErr
-	}
-	for i := range shards {
-		a.rows += shards[i].rows
-		a.bytes += shards[i].bytes
-	}
-	// Merge: every shard entry is already charged; an entry another
-	// shard's tuple subsumes — on arrival or by eviction — is refunded.
-	// The merge itself charges nothing, so it cannot fail.
-	for i := range shards {
-		for _, t := range shards[i].set.Rel("shard").Tuples() {
-			displaced, inserted := global.InsertPruning(t)
-			for _, d := range displaced {
-				a.tr.Refund(1, d.ApproxBytes())
-				a.rows--
-				a.bytes -= d.ApproxBytes()
-			}
-			if !inserted {
-				a.tr.Refund(1, t.ApproxBytes())
-				a.rows--
-				a.bytes -= t.ApproxBytes()
-			}
-		}
-	}
-	return nil
-}
-
-// replaySerial replays the partitions one at a time into set off a
+// replay reduces the spilled partitions into set one at a time off a
 // task queue: a partition whose replay is refused by the budget is
 // re-partitioned with the next depth's salt and its children queued,
 // up to the budget's recursion limit; past it the refusal escalates to
@@ -418,7 +269,7 @@ func (a *dgAccum) replayParallel(global *relation.SubsumeSet, w int) error {
 // partial replay already inserted stay charged — the child replay
 // re-encounters them as duplicates (equal tuples co-locate under every
 // salt) and never double-charges.
-func (a *dgAccum) replaySerial(set *relation.SubsumeSet) error {
+func (a *dgAccum) replay(set *relation.SubsumeSet) error {
 	limit := a.tr.RecursionLimit()
 	type task struct {
 		ps    *spill.PartitionSet
@@ -432,7 +283,7 @@ func (a *dgAccum) replaySerial(set *relation.SubsumeSet) error {
 	for len(queue) > 0 {
 		tk := queue[0]
 		queue = queue[1:]
-		err := a.replayPartition(a.ctx, tk.ps, tk.idx, set, &a.rows, &a.bytes)
+		err := a.replayPartition(tk.ps, tk.idx, set)
 		if err == nil {
 			continue
 		}
@@ -451,8 +302,8 @@ func (a *dgAccum) replaySerial(set *relation.SubsumeSet) error {
 		if rerr != nil {
 			return rerr
 		}
-		tk.ps.DropPart(tk.idx)
 		a.children = append(a.children, child)
+		tk.ps.DropPart(tk.idx)
 		a.tr.NoteRecursion(tk.depth + 1)
 		for i := 0; i < child.N(); i++ {
 			queue = append(queue, task{child, i, tk.depth + 1})
@@ -462,17 +313,17 @@ func (a *dgAccum) replaySerial(set *relation.SubsumeSet) error {
 }
 
 // replayPartition replays one partition of ps into set, charging what the
-// set keeps. Equal tuples share a partition, so the per-partition seen
-// filter dedups exactly; InsertPruning both drops subsumed arrivals
-// (never charged) and evicts entries the arrival subsumes (refunded on
-// the spot — satellite fix for evicted-but-still-charged residency).
-// A charge refusal removes the just-inserted tuple again so residency
-// equals charges; any front tuple its eviction orphaned is restored by
-// the recursive child replay that re-delivers the refused tuple.
-func (a *dgAccum) replayPartition(ctx context.Context, ps *spill.PartitionSet, idx int, set *relation.SubsumeSet, rows, bytes *int64) error {
+// set keeps to the accumulator's resident charges. Equal tuples share a
+// partition, so the per-partition seen filter dedups exactly;
+// InsertPruning both drops subsumed arrivals (never charged) and evicts
+// entries the arrival subsumes (refunded on the spot). A charge refusal
+// removes the just-inserted tuple again so residency equals charges;
+// any front tuple its eviction orphaned is restored by the recursive
+// child replay that re-delivers the refused tuple.
+func (a *dgAccum) replayPartition(ps *spill.PartitionSet, idx int, set *relation.SubsumeSet) error {
 	seen := newTupleSeen(64)
 	return ps.Read(idx, a.s, func(t relation.Tuple) error {
-		if err := ctx.Err(); err != nil {
+		if err := a.ctx.Err(); err != nil {
 			return err
 		}
 		if !seen.insert(t) {
@@ -482,8 +333,8 @@ func (a *dgAccum) replayPartition(ctx context.Context, ps *spill.PartitionSet, i
 		for _, d := range displaced {
 			b := d.ApproxBytes()
 			a.tr.Refund(1, b)
-			*rows--
-			*bytes -= b
+			a.rows--
+			a.bytes -= b
 		}
 		if !inserted {
 			return nil
@@ -493,8 +344,8 @@ func (a *dgAccum) replayPartition(ctx context.Context, ps *spill.PartitionSet, i
 			set.Delete(t)
 			return err
 		}
-		*rows++
-		*bytes += b
+		a.rows++
+		a.bytes += b
 		return nil
 	})
 }

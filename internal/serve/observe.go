@@ -46,14 +46,13 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		"budget_rejections":    cBudgetRejected.Value(),
 		"journal_degraded":     obs.GetGauge("clio.journal.degraded").Value(),
 		"spill": map[string]any{
-			"enabled":       s.cfg.Budget.SpillDir != "",
-			"dir":           s.cfg.Budget.SpillDir,
-			"max_bytes":     s.cfg.Budget.MaxSpillBytes,
-			"partitions":    obs.GetCounter("spill.partitions").Value(),
-			"bytes":         obs.GetCounter("spill.bytes").Value(),
-			"spill_aborts":  obs.GetCounter("spill.spill_aborts").Value(),
-			"recursions":    obs.GetCounter("spill.recursions").Value(),
-			"prefetch_hits": obs.GetCounter("spill.prefetch_hits").Value(),
+			"enabled":      s.cfg.Budget.SpillDir != "",
+			"dir":          s.cfg.Budget.SpillDir,
+			"max_bytes":    s.cfg.Budget.MaxSpillBytes,
+			"partitions":   obs.GetCounter("spill.partitions").Value(),
+			"bytes":        obs.GetCounter("spill.bytes").Value(),
+			"spill_aborts": obs.GetCounter("spill.spill_aborts").Value(),
+			"recursions":   obs.GetCounter("spill.recursions").Value(),
 		},
 		"cache": map[string]any{
 			"entries":   fd.CacheLen(),
@@ -162,7 +161,6 @@ func (s *Server) handleExplain(ctx context.Context, r *http.Request) (any, error
 			body["spill_bytes"] = res.SpillBytes
 			body["spill_depth"] = res.SpillDepth
 			body["spill_recursions"] = res.SpillRecursions
-			body["prefetch_hits"] = res.PrefetchHits
 			body["partition_skew"] = res.PartitionSkew
 		}
 		if res.Root != nil {

@@ -66,7 +66,7 @@ var ErrSpill = errors.New("spill: I/O failure")
 // IOError is a typed spill-tier failure: which operation failed and
 // why. It matches ErrSpill under errors.Is.
 type IOError struct {
-	Op  string // "create", "write", "flush", "read", "decode", "repartition", "prefetch"
+	Op  string // "create", "write", "flush", "read", "decode", "repartition"
 	Err error
 }
 
@@ -83,12 +83,6 @@ func abort(op string, err error) error {
 	cAborts.Inc()
 	return &IOError{Op: op, Err: err}
 }
-
-// Fail wraps an operation failure as a typed *IOError and counts it
-// with the spill aborts — for spill-tier stages that live outside this
-// package (e.g. the join's prefetch worker) but must surface the same
-// typed, ErrSpill-matching errors.
-func Fail(op string, err error) error { return abort(op, err) }
 
 // partition is one temp file of framed tuples.
 type partition struct {
@@ -250,16 +244,19 @@ func (ps *PartitionSet) AddTo(i int, t relation.Tuple) error {
 		cAborts.Inc()
 		return err
 	}
-	if err := fault.Inject("spill.write"); err != nil {
-		ps.tr.RefundSpill(n)
-		return abort("write", err)
+	// The partition owns the charge before anything can fail or panic:
+	// Close refunds p.bytes.
+	p.bytes += n
+	err := fault.Inject("spill.write")
+	if err == nil {
+		_, err = p.w.Write(ps.buf)
 	}
-	if _, err := p.w.Write(ps.buf); err != nil {
+	if err != nil {
+		p.bytes -= n
 		ps.tr.RefundSpill(n)
 		return abort("write", err)
 	}
 	p.tuples++
-	p.bytes += n
 	cBytes.Add(n)
 	return nil
 }
@@ -292,6 +289,7 @@ func (ps *PartitionSet) Read(i int, s *relation.Scheme, visit func(relation.Tupl
 	r := bufio.NewReader(f)
 	var head [8]byte
 	var payload []byte
+	unread := p.bytes
 	for n := 0; n < p.tuples; n++ {
 		if err := fault.Inject("spill.read"); err != nil {
 			return abort("read", err)
@@ -299,8 +297,15 @@ func (ps *PartitionSet) Read(i int, s *relation.Scheme, visit func(relation.Tupl
 		if _, err := io.ReadFull(r, head[:]); err != nil {
 			return abort("read", fmt.Errorf("frame %d: %w", n, err))
 		}
+		unread -= int64(len(head))
 		size := binary.LittleEndian.Uint32(head[0:4])
 		sum := binary.LittleEndian.Uint32(head[4:8])
+		// A corrupt length must not size the allocation: no frame is
+		// longer than what the partition has left.
+		if int64(size) > unread {
+			return abort("read", fmt.Errorf("frame %d: length %d exceeds the %d unread bytes", n, size, unread))
+		}
+		unread -= int64(size)
 		if int(size) > cap(payload) {
 			payload = make([]byte, size)
 		}
@@ -326,18 +331,23 @@ func (ps *PartitionSet) Read(i int, s *relation.Scheme, visit func(relation.Tupl
 // with fan-out n, leaving the parent partition intact. Equal tuples
 // co-locate in exactly one child (the salt is mixed into the canonical
 // hash), so per-child dedup/joins stay globally exact. The child is
-// the caller's to Close; on error it is already closed. Callers
-// typically DropPart(i) afterward to reclaim the parent's disk.
+// the caller's to Close; on an error or a panic it is already closed.
+// Callers typically DropPart(i) afterward to reclaim the parent's disk.
 func (ps *PartitionSet) Repartition(i int, s *relation.Scheme, n int, salt uint64) (*PartitionSet, error) {
 	if err := fault.Inject("spill.repartition"); err != nil {
 		return nil, abort("repartition", err)
 	}
 	child := NewSaltedPartitionSet(ps.tr, n, ps.cols, salt)
-	err := ps.Read(i, s, func(t relation.Tuple) error { return child.Add(t) })
-	if err != nil {
-		child.Close()
+	done := false
+	defer func() {
+		if !done {
+			child.Close()
+		}
+	}()
+	if err := ps.Read(i, s, func(t relation.Tuple) error { return child.Add(t) }); err != nil {
 		return nil, err
 	}
+	done = true
 	cRecursions.Inc()
 	return child, nil
 }
@@ -366,13 +376,13 @@ func (ps *PartitionSet) PartBytes(i int) int64 {
 	return ps.parts[i].bytes
 }
 
-// RecordStats publishes each created partition's final tuple/byte
-// counts into the tracker's spill statistics (the picker's and
-// EXPLAIN's inputs). Call once per set, after sinking completes.
+// RecordStats publishes each created partition's final byte count
+// into the tracker's spill statistics (EXPLAIN's partition skew). Call
+// once per set, after sinking completes.
 func (ps *PartitionSet) RecordStats() {
 	for _, p := range ps.parts {
 		if p != nil {
-			ps.tr.NotePartition(int64(p.tuples), p.bytes)
+			ps.tr.NotePartition(p.bytes)
 		}
 	}
 }

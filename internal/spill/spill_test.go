@@ -1,9 +1,11 @@
 package spill
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -227,6 +229,48 @@ func TestPartitionReadDetectsCorruption(t *testing.T) {
 	err = ps.Read(0, testScheme(), func(relation.Tuple) error { return nil })
 	if !errors.Is(err, ErrSpill) {
 		t.Fatalf("corrupted frame read returned %v, want ErrSpill", err)
+	}
+}
+
+// A frame header claiming more bytes than the partition holds must be
+// refused before it sizes an allocation: the read fails with a typed
+// read error and allocates far less than the claimed 256 MiB.
+func TestPartitionReadRejectsOversizedFrameHeader(t *testing.T) {
+	dir := t.TempDir()
+	tr := budget.NewTracker(budget.Budget{MaxBytes: 1, SpillDir: dir})
+	ps := NewPartitionSet(tr, 1, nil)
+	defer ps.Close()
+	for _, u := range mixedTuples(t, 3) {
+		if err := ps.Add(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Flush by reading once, then make the first frame claim 256 MiB.
+	if err := ps.Read(0, testScheme(), func(relation.Tuple) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "clio-spill-*.part"))
+	if len(files) != 1 {
+		t.Fatalf("partition files = %v", files)
+	}
+	raw, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(raw[0:4], 256<<20)
+	if err := os.WriteFile(files[0], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = ps.Read(0, testScheme(), func(relation.Tuple) error { return nil })
+	runtime.ReadMemStats(&after)
+	var ioe *IOError
+	if !errors.As(err, &ioe) || ioe.Op != "read" {
+		t.Fatalf("oversized frame header read returned %v, want IOError{Op: read}", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("the refused read allocated %d bytes, want under 1 MiB", n)
 	}
 }
 
