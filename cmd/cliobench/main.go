@@ -547,6 +547,7 @@ func e10() {
 	// partitions by a resident cap far below the inputs (full size they
 	// spill; -quick fits and stays in memory), measuring the degradation
 	// cost of larger-than-memory joins against the in-memory row above.
+	// Both cells run the columnar join the hash-join row measures.
 	spillDir, err := os.MkdirTemp("", "cliobench-spill-")
 	if err != nil {
 		panic(err)
@@ -558,11 +559,8 @@ func e10() {
 		R: algebra.Select{Child: algebra.Materialized{Label: "R", Rel: r}, Pred: expr.MustParse("TRUE")},
 	}
 	t, allocs = measureAllocs(func() {
-		it, err := spillJoin.Open(sctx, nil)
-		if err != nil {
-			panic(err)
-		}
-		if j, err = algebra.Drain(it); err != nil {
+		var err error
+		if j, err = algebra.Collect(sctx, spillJoin, nil); err != nil {
 			panic(err)
 		}
 	})
@@ -586,11 +584,8 @@ func e10() {
 		R: algebra.Select{Child: algebra.Materialized{Label: "R", Rel: sr2}, Pred: expr.MustParse("TRUE")},
 	}
 	t, allocs = measureAllocs(func() {
-		it, err := skewJoin.Open(skctx, nil)
-		if err != nil {
-			panic(err)
-		}
-		if j, err = algebra.Drain(it); err != nil {
+		var err error
+		if j, err = algebra.Collect(skctx, skewJoin, nil); err != nil {
 			panic(err)
 		}
 	})

@@ -1,29 +1,24 @@
 // Package algebra implements a streaming relational-algebra evaluator
 // over relation.Instance: scans (with aliasing), selection,
 // generalized projection, inner and outer joins (with a hash fast path
-// for equi-join conjuncts), cross product, union, distinct, and the
-// paper's minimum union. Every operator compiles to a batched
-// Iterator (see Node.Open); Eval is a thin wrapper that drains the
-// pipeline into a relation. Plans also render themselves as SQL, which
-// is how mapping queries are shown to users.
+// for equi-join conjuncts), cross product and distinct. Every operator
+// compiles to a columnar Iterator (see Open); Eval is a thin wrapper
+// that drains the pipeline into a relation. Plans also render
+// themselves as SQL, which is how mapping queries are shown to users.
 package algebra
 
 import (
 	"context"
 	"strings"
 
-	"clio/internal/budget"
 	"clio/internal/expr"
 	"clio/internal/relation"
 	"clio/internal/schema"
 )
 
-// Node is a relational-algebra plan node.
+// Node is a relational-algebra plan node. Open compiles any node to
+// its pipeline.
 type Node interface {
-	// Open compiles the node to a batched tuple stream against the
-	// instance. Budget accounting and cancellation are drawn from ctx
-	// and surface as errors from the iterator's Next.
-	Open(ctx context.Context, in *relation.Instance) (Iterator, error)
 	// Eval materializes the node's result against the instance,
 	// without a budget or cancellation (it drains Open under the
 	// background context).
@@ -159,34 +154,6 @@ type Join struct {
 	EstRows int64
 }
 
-// Open streams the join: both children are materialized (a join is a
-// pipeline breaker), then matched pairs and outer padding are emitted
-// in batches. When the context budget has a spill directory, the
-// children sink through spill-aware sides instead — build state that
-// exceeds the in-memory cap Grace-hash partitions to temp files, and
-// the join runs partition by partition (see spilljoin.go).
-func (j Join) Open(ctx context.Context, in *relation.Instance) (Iterator, error) {
-	if budget.FromContext(ctx).SpillEnabled() {
-		return openSpillJoin(ctx, j, in)
-	}
-	ctx, span := openOp(ctx, "op.join")
-	span.SetStr("kind", j.Kind.String())
-	if j.EstRows > 0 {
-		span.SetInt("est_rows", j.EstRows)
-	}
-	l, err := materializeChild(ctx, j.L, in)
-	if err != nil {
-		span.End()
-		return nil, err
-	}
-	r, err := materializeChild(ctx, j.R, in)
-	if err != nil {
-		span.End()
-		return nil, err
-	}
-	return newJoinIter(ctx, span, j.Kind, l, r, j.On), nil
-}
-
 // Eval executes the join.
 func (j Join) Eval(in *relation.Instance) (*relation.Relation, error) {
 	return Collect(context.Background(), j, in)
@@ -219,40 +186,6 @@ func (d Distinct) Eval(in *relation.Instance) (*relation.Relation, error) {
 // SQL renders SELECT DISTINCT *.
 func (d Distinct) SQL() string {
 	return "(SELECT DISTINCT * FROM " + d.Child.SQL() + ")"
-}
-
-// Union is set union of union-compatible children (deduplicated).
-type Union struct{ L, R Node }
-
-// Eval unions the children; schemes must have the same attribute set.
-func (u Union) Eval(in *relation.Instance) (*relation.Relation, error) {
-	return Collect(context.Background(), u, in)
-}
-
-// SQL renders UNION.
-func (u Union) SQL() string { return u.L.SQL() + " UNION " + u.R.SQL() }
-
-// MinUnion is the paper's minimum union (outer union minus strictly
-// subsumed tuples) of any number of children.
-type MinUnion struct {
-	Name     string
-	Children []Node
-}
-
-// Eval computes the minimum union.
-func (m MinUnion) Eval(in *relation.Instance) (*relation.Relation, error) {
-	return Collect(context.Background(), m, in)
-}
-
-// SQL renders the children joined by the ⊕ pseudo-operator (minimum
-// union has no SQL surface syntax; Galindo-Legaria's operator symbol
-// is used for display).
-func (m MinUnion) SQL() string {
-	parts := make([]string, len(m.Children))
-	for i, c := range m.Children {
-		parts[i] = c.SQL()
-	}
-	return strings.Join(parts, " ⊕ ")
 }
 
 // Materialized wraps an already-computed relation as a plan node (used

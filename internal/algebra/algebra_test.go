@@ -1,10 +1,14 @@
 package algebra
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
+	"clio/internal/budget"
 	"clio/internal/expr"
 	"clio/internal/relation"
 	"clio/internal/schema"
@@ -295,6 +299,44 @@ func TestCross(t *testing.T) {
 	}
 }
 
+// A cross product under a budget it cannot fit fails at its first
+// refused output batch: it never lists or materializes the |L|×|R|
+// pairs first, so what it allocates is bounded by one batch.
+func TestCrossRefusedAtFirstBatch(t *testing.T) {
+	const n = 1000 // a million pairs
+	in := relation.NewInstance(nil)
+	for _, name := range []string{"L", "R"} {
+		r := relation.New(name, relation.NewScheme(name+".k", name+".v"))
+		for i := 0; i < n; i++ {
+			r.AddValues(value.Int(int64(i)), value.Int(int64(i)))
+		}
+		in.MustAdd(r)
+	}
+	tr := budget.NewTracker(budget.Budget{MaxRows: 10})
+	ctx := budget.With(context.Background(), tr)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	it, err := Open(ctx, Cross{L: NewScan("L", ""), R: NewScan("R", "")}, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = it.NextBatch()
+	it.Close()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, budget.ErrExceeded) {
+		t.Fatalf("first batch returned %v, want a budget refusal", err)
+	}
+	if tr.Rows() != 0 {
+		t.Errorf("refused batch left %d rows charged", tr.Rows())
+	}
+	// One batch of BatchSize pairs over four int columns is a few tens
+	// of KiB; listing the pairs alone would take 8 MB.
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("refused cross product allocated %d bytes, want at most one batch's worth", got)
+	}
+}
+
 func TestDistinctNode(t *testing.T) {
 	in := testInstance()
 	n := Distinct{Child: Project{
@@ -305,43 +347,6 @@ func TestDistinctNode(t *testing.T) {
 	r := mustEval(t, n, in)
 	if r.Len() != 4 { // IBM, UofT, Acta, Sun
 		t.Errorf("distinct len = %d, want 4:\n%v", r.Len(), r)
-	}
-}
-
-func TestUnion(t *testing.T) {
-	in := testInstance()
-	young := Select{Child: NewScan("Children", ""), Pred: expr.MustParse("Children.age < 6")}
-	old := Select{Child: NewScan("Children", ""), Pred: expr.MustParse("Children.age >= 6")}
-	u := Union{L: young, R: old}
-	r := mustEval(t, u, in)
-	if r.Len() != 3 {
-		t.Errorf("union len = %d, want 3", r.Len())
-	}
-	// Overlapping unions deduplicate.
-	u2 := Union{L: NewScan("Children", ""), R: NewScan("Children", "")}
-	if got := mustEval(t, u2, in).Len(); got != 3 {
-		t.Errorf("self-union len = %d, want 3", got)
-	}
-	// Incompatible schemes error.
-	bad := Union{L: NewScan("Children", ""), R: NewScan("Parents", "")}
-	if _, err := bad.Eval(in); err == nil {
-		t.Error("incompatible union should error")
-	}
-}
-
-func TestMinUnionNode(t *testing.T) {
-	in := testInstance()
-	cp := Join{Kind: InnerJoin, L: NewScan("Children", ""), R: NewScan("Parents", ""),
-		On: expr.Equals("Children.mid", "Parents.ID")}
-	n := MinUnion{Name: "D", Children: []Node{NewScan("Children", ""), cp}}
-	r := mustEval(t, n, in)
-	// Every child joins to a mother, so bare Children tuples are all
-	// subsumed; result is just the join.
-	if r.Len() != 3 {
-		t.Errorf("min union len = %d, want 3:\n%v", r.Len(), r)
-	}
-	if !strings.Contains(n.SQL(), "⊕") {
-		t.Errorf("min union SQL = %q", n.SQL())
 	}
 }
 
@@ -407,9 +412,6 @@ func TestErrorPropagation(t *testing.T) {
 		Cross{L: bad, R: NewScan("Parents", "")},
 		Cross{L: NewScan("Parents", ""), R: bad},
 		Distinct{Child: bad},
-		Union{L: bad, R: NewScan("Parents", "")},
-		Union{L: NewScan("Parents", ""), R: bad},
-		MinUnion{Name: "m", Children: []Node{bad}},
 	}
 	for i, n := range nodes {
 		if _, err := n.Eval(in); err == nil {

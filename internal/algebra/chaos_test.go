@@ -30,12 +30,12 @@ func TestChaosJoinWorkerPanicAnswers500(t *testing.T) {
 	obs.SetEnabled(true)
 	prevCap := fd.CacheCapacity()
 	// Set before the server starts so its goroutines observe the value.
-	prevWorkers := algebra.SetVecJoinWorkers(2)
+	prevWorkers := algebra.SetJoinWorkers(2)
 	ts := httptest.NewServer(serve.New(serve.Config{MaxInFlight: 16}).Handler())
 	fd.InvalidateCache()
 	t.Cleanup(func() {
 		ts.Close()
-		algebra.SetVecJoinWorkers(prevWorkers)
+		algebra.SetJoinWorkers(prevWorkers)
 		fd.SetCacheCapacity(prevCap)
 		fd.InvalidateCache()
 		obs.SetEnabled(wasEnabled)

@@ -14,9 +14,8 @@ import (
 // naiveJoin is the executable specification of the join operator: a
 // brute-force nested loop with no hashing, no batching, and no arena —
 // evaluate the predicate on every (l, r) pair, then pad unmatched rows
-// per the join kind. Both production pipelines (row-batched and
-// columnar) must agree with it tuple-for-tuple as multisets; emission
-// order is the pipelines' own business.
+// per the join kind. The pipeline must agree with it tuple-for-tuple
+// as multisets; emission order is the pipeline's own business.
 func naiveJoin(kind JoinKind, l, r *relation.Relation, on expr.Expr) []string {
 	s := l.Scheme().Concat(r.Scheme())
 	combined := func(lt, rt relation.Tuple) relation.Tuple {
@@ -65,12 +64,12 @@ func sorted(keys []string) []string {
 	return out
 }
 
-// TestJoinDifferentialNaiveRowVec closes the three-way differential:
-// for randomized inputs (NULL keys, duplicate keys, mixed kinds) and
-// every join kind under equi, equi+residual, and non-equi predicates,
-// naive nested-loop ≡ row-batched pipeline ≡ columnar pipeline as
-// multisets of canonical tuple keys. Run under -race by `make race`.
-func TestJoinDifferentialNaiveRowVec(t *testing.T) {
+// TestJoinDifferentialNaive is the join differential: for randomized
+// inputs (NULL keys, duplicate keys, mixed kinds) and every join kind
+// under equi, equi+residual, and non-equi predicates, the pipeline ≡
+// the naive nested loop as multisets of canonical tuple keys. Run
+// under -race by `make race`.
+func TestJoinDifferentialNaive(t *testing.T) {
 	kinds := []JoinKind{InnerJoin, LeftJoin, RightJoin, FullJoin}
 	preds := []expr.Expr{
 		expr.Equals("L.k", "R.k"),
@@ -88,37 +87,20 @@ func TestJoinDifferentialNaiveRowVec(t *testing.T) {
 		for _, kind := range kinds {
 			for pi, on := range preds {
 				want := naiveJoin(kind, l, r, on)
-
 				n := Join{Kind: kind, L: NewScan("L", ""), R: NewScan("R", ""), On: on}
-				rowIt, err := n.Open(context.Background(), in)
+				it, err := Open(context.Background(), n, in)
 				if err != nil {
-					t.Fatalf("seed %d kind %v pred %d: row open: %v", seed, kind, pi, err)
+					t.Fatalf("seed %d kind %v pred %d: open: %v", seed, kind, pi, err)
 				}
-				gotRow := sorted(iterKeys(t, rowIt))
-				vecIt, err := OpenVec(context.Background(), n, in)
-				if err != nil {
-					t.Fatalf("seed %d kind %v pred %d: vec open: %v", seed, kind, pi, err)
-				}
-				gotVec := sorted(vecKeys(t, vecIt))
-
-				if len(gotRow) != len(want) {
-					t.Fatalf("seed %d kind %v pred %d: row pipeline %d rows, naive %d",
-						seed, kind, pi, len(gotRow), len(want))
+				got := sorted(iterKeys(t, it))
+				if len(got) != len(want) {
+					t.Fatalf("seed %d kind %v pred %d: pipeline %d rows, naive %d",
+						seed, kind, pi, len(got), len(want))
 				}
 				for i := range want {
-					if gotRow[i] != want[i] {
-						t.Fatalf("seed %d kind %v pred %d row %d: row pipeline %q, naive %q",
-							seed, kind, pi, i, gotRow[i], want[i])
-					}
-				}
-				if len(gotVec) != len(want) {
-					t.Fatalf("seed %d kind %v pred %d: columnar %d rows, naive %d",
-						seed, kind, pi, len(gotVec), len(want))
-				}
-				for i := range want {
-					if gotVec[i] != want[i] {
-						t.Fatalf("seed %d kind %v pred %d row %d: columnar %q, naive %q",
-							seed, kind, pi, i, gotVec[i], want[i])
+					if got[i] != want[i] {
+						t.Fatalf("seed %d kind %v pred %d row %d: pipeline %q, naive %q",
+							seed, kind, pi, i, got[i], want[i])
 					}
 				}
 			}

@@ -1,9 +1,9 @@
 package algebra
 
-// SetVecJoinWorkers pins the morsel join's worker count for tests in
+// SetJoinWorkers pins the morsel join's worker count for tests in
 // package algebra_test and returns the previous value.
-func SetVecJoinWorkers(n int) int {
-	prev := vecJoinWorkers
-	vecJoinWorkers = n
+func SetJoinWorkers(n int) int {
+	prev := joinWorkers
+	joinWorkers = n
 	return prev
 }

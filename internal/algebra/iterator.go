@@ -1,48 +1,119 @@
 package algebra
 
-// This file implements the streaming execution core: every plan node
-// compiles to a pull-based batched Iterator via Node.Open. Scan,
-// Select, Project and Union stream tuple batches through without
-// materializing intermediates; Join, Cross, Distinct and MinUnion are
-// pipeline breakers that build hash tables (or drain their inputs)
-// before emitting. Budget accounting and context-cancellation checks
-// live here, amortized to one check per batch instead of one per row.
-// Eval remains as a thin wrapper that drains the pipeline into a
-// relation, so materializing call sites and SQL generation are
-// untouched.
+// This file defines the execution core's iterator contract: every plan
+// node compiles to a pull-based Iterator over column-major
+// relation.Batch values (see Open). Scan, Select, Project and Distinct
+// stream (vec.go); Join and Cross are pipeline breakers that
+// materialize their inputs as batches before emitting (vecjoin.go, and
+// spilljoin.go under a spill budget). Budget accounting and
+// context-cancellation checks are amortized to one per batch. Eval is a
+// thin wrapper that drains the pipeline into a relation.
 
 import (
 	"context"
 	"fmt"
 
-	"clio/internal/budget"
-	"clio/internal/expr"
 	"clio/internal/obs"
 	"clio/internal/relation"
-	"clio/internal/value"
 )
 
-// BatchSize is the number of tuples an iterator yields per Next call.
-// Batching amortizes per-row overheads — cancellation checks, budget
-// charges, instrumentation — across the batch.
-const BatchSize = 64
+// BatchSize is the target row count of a batch. Per-batch overheads
+// (charges, cancellation checks, virtual calls) are amortized over
+// typed-vector loops.
+const BatchSize = 1024
 
-// Iterator is a pull-based tuple stream over one operator's output.
-//
-// Next returns the next non-empty batch, or (nil, nil) at end of
-// stream. The returned slice is reused: it is valid only until the
-// following Next call, and consumers that retain tuples must copy the
-// Tuple structs out (tuples themselves are immutable). Cancellation
-// of the Open context and budget exhaustion surface as errors from
-// Next, checked once per batch. Close releases the operator tree and
-// ends its trace spans; it is idempotent.
+// SpillBatchSize caps the rows per output batch of a join opened under
+// a spill budget. There budget.Flow keeps only the in-flight output
+// batch charged, so the batch size is what stays resident beside a
+// loaded partition pair.
+const SpillBatchSize = 64
+
+// Iterator is a pull-based columnar stream over one operator's output.
+// NextBatch returns the next non-empty batch, or (nil, nil) at end of
+// stream; the returned batch (and any selection installed on it) is
+// valid only until the following NextBatch call, and is read-only.
+// Cancellation of the Open context and budget exhaustion surface as
+// errors from NextBatch. Close releases the operator tree and ends its
+// trace spans; it is idempotent.
 type Iterator interface {
-	// Scheme is the stream's tuple scheme.
 	Scheme() *relation.Scheme
-	// Name is the result relation name ("" when anonymous).
 	Name() string
-	Next() ([]relation.Tuple, error)
+	NextBatch() (*relation.Batch, error)
 	Close()
+}
+
+// Open compiles the node to its pipeline against the instance. Budget
+// accounting and cancellation are drawn from ctx. Every operator span
+// opens before the operator's children, so they nest under it.
+func Open(ctx context.Context, n Node, in *relation.Instance) (Iterator, error) {
+	switch x := n.(type) {
+	case Scan:
+		b, err := in.AliasedColumns(x.Base, x.aliasOrBase())
+		if err != nil {
+			return nil, err
+		}
+		return newScanIter(ctx, b, x.aliasOrBase()), nil
+	case Materialized:
+		return newScanIter(ctx, x.Rel.Columns(), x.Rel.Name), nil
+	case Join:
+		return openJoin(ctx, x.Kind, x.L, x.R, x.On, x.EstRows, in)
+	case Cross:
+		return openJoin(ctx, InnerJoin, x.L, x.R, nil, 0, in)
+	}
+	var name string
+	var child Node
+	switch x := n.(type) {
+	case Select:
+		name, child = "op.select", x.Child
+	case Project:
+		name, child = "op.project", x.Child
+	case Distinct:
+		name, child = "op.distinct", x.Child
+	default:
+		return nil, fmt.Errorf("algebra: cannot execute plan node %T", n)
+	}
+	cctx, span := openOp(ctx, name)
+	c, err := Open(cctx, child, in)
+	if err != nil {
+		span.End()
+		return nil, err
+	}
+	op := opStats{span: span}
+	switch x := n.(type) {
+	case Select:
+		return newSelectIter(c, x.Pred, op), nil
+	case Project:
+		return newProjectIter(c, x.Cols, x.Name, op), nil
+	default:
+		return newDistinctIter(c, op), nil
+	}
+}
+
+// Collect opens the node's pipeline and drains it into a relation
+// (tuple storage carved batch-wise from slabs).
+func Collect(ctx context.Context, n Node, in *relation.Instance) (*relation.Relation, error) {
+	it, err := Open(ctx, n, in)
+	if err != nil {
+		return nil, err
+	}
+	return Drain(it)
+}
+
+// Drain materializes the remainder of an iterator into a relation and
+// closes it.
+func Drain(it Iterator) (*relation.Relation, error) {
+	defer it.Close()
+	out := relation.New(it.Name(), it.Scheme())
+	for {
+		b, err := it.NextBatch()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			return out, nil
+		}
+		out.AppendBatch(b)
+	}
 }
 
 // Streamed-row counters, published once per iterator on Close.
@@ -72,8 +143,9 @@ func openOp(ctx context.Context, name string) (context.Context, *obs.Span) {
 	return obs.StartSpan(ctx, name)
 }
 
-func (o *opStats) observe(batch []relation.Tuple) {
-	o.rows += int64(len(batch))
+// observe counts one emitted batch of n rows.
+func (o *opStats) observe(n int) {
+	o.rows += int64(n)
 	o.batches++
 }
 
@@ -90,474 +162,4 @@ func (o *opStats) close() bool {
 	o.span.SetInt("batches", o.batches)
 	o.span.End()
 	return true
-}
-
-// Drain materializes the remainder of an iterator into a relation and
-// closes it.
-func Drain(it Iterator) (*relation.Relation, error) {
-	defer it.Close()
-	out := relation.New(it.Name(), it.Scheme())
-	for {
-		batch, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if batch == nil {
-			return out, nil
-		}
-		for _, t := range batch {
-			out.Add(t)
-		}
-	}
-}
-
-// Collect opens the node's iterator pipeline against the instance and
-// drains it into a relation.
-func Collect(ctx context.Context, n Node, in *relation.Instance) (*relation.Relation, error) {
-	it, err := n.Open(ctx, in)
-	if err != nil {
-		return nil, err
-	}
-	return Drain(it)
-}
-
-// materializeChild evaluates a pipeline-breaker input. Scans and
-// already-materialized nodes return their stored relation without
-// copying; anything else drains its iterator pipeline under ctx.
-func materializeChild(ctx context.Context, n Node, in *relation.Instance) (*relation.Relation, error) {
-	switch x := n.(type) {
-	case Scan:
-		return x.Eval(in)
-	case Materialized:
-		return x.Rel, nil
-	}
-	return Collect(ctx, n, in)
-}
-
-// relIter streams an already-materialized relation in batches; the
-// source for Scan, Materialized and the output of pipeline breakers.
-type relIter struct {
-	ctx  context.Context
-	rel  *relation.Relation
-	name string
-	pos  int
-	op   opStats
-}
-
-func newRelIter(ctx context.Context, opName string, rel *relation.Relation, name string) *relIter {
-	ctx, span := openOp(ctx, opName)
-	return &relIter{ctx: ctx, rel: rel, name: name, op: opStats{span: span}}
-}
-
-func (it *relIter) Scheme() *relation.Scheme { return it.rel.Scheme() }
-func (it *relIter) Name() string             { return it.name }
-func (it *relIter) Close()                   { it.op.close() }
-
-func (it *relIter) Next() ([]relation.Tuple, error) {
-	if err := it.ctx.Err(); err != nil {
-		return nil, err
-	}
-	ts := it.rel.Tuples()
-	if it.pos >= len(ts) {
-		return nil, nil
-	}
-	end := it.pos + BatchSize
-	if end > len(ts) {
-		end = len(ts)
-	}
-	batch := ts[it.pos:end]
-	it.pos = end
-	it.op.observe(batch)
-	return batch, nil
-}
-
-// Open returns the (possibly aliased) stored relation as a stream.
-func (s Scan) Open(ctx context.Context, in *relation.Instance) (Iterator, error) {
-	r, err := in.Aliased(s.Base, s.aliasOrBase())
-	if err != nil {
-		return nil, err
-	}
-	it := newRelIter(ctx, "op.scan", r, r.Name)
-	it.op.span.SetStr("rel", r.Name)
-	return it, nil
-}
-
-// Open returns the wrapped relation as a stream.
-func (m Materialized) Open(ctx context.Context, _ *relation.Instance) (Iterator, error) {
-	return newRelIter(ctx, "op.materialized", m.Rel, m.Rel.Name), nil
-}
-
-// selectIter streams the child's batches filtered under 3VL.
-type selectIter struct {
-	child Iterator
-	pred  expr.Expr
-	buf   []relation.Tuple
-	op    opStats
-}
-
-// Open streams the filtered child.
-func (s Select) Open(ctx context.Context, in *relation.Instance) (Iterator, error) {
-	ctx, span := openOp(ctx, "op.select")
-	child, err := s.Child.Open(ctx, in)
-	if err != nil {
-		span.End()
-		return nil, err
-	}
-	return &selectIter{child: child, pred: s.Pred, op: opStats{span: span}}, nil
-}
-
-func (it *selectIter) Scheme() *relation.Scheme { return it.child.Scheme() }
-func (it *selectIter) Name() string             { return it.child.Name() }
-func (it *selectIter) Close() {
-	it.child.Close()
-	it.op.close()
-}
-
-func (it *selectIter) Next() ([]relation.Tuple, error) {
-	it.buf = it.buf[:0]
-	for {
-		batch, err := it.child.Next()
-		if err != nil {
-			return nil, err
-		}
-		if batch == nil {
-			return nil, nil
-		}
-		for _, t := range batch {
-			if expr.Truth(it.pred, t) == value.True {
-				it.buf = append(it.buf, t)
-			}
-		}
-		if len(it.buf) > 0 {
-			it.op.observe(it.buf)
-			return it.buf, nil
-		}
-	}
-}
-
-// projectIter maps each child batch through the output expressions.
-type projectIter struct {
-	child Iterator
-	cols  []OutputCol
-	name  string
-	s     *relation.Scheme
-	buf   []relation.Tuple
-	op    opStats
-}
-
-// Open streams the projection.
-func (p Project) Open(ctx context.Context, in *relation.Instance) (Iterator, error) {
-	ctx, span := openOp(ctx, "op.project")
-	child, err := p.Child.Open(ctx, in)
-	if err != nil {
-		span.End()
-		return nil, err
-	}
-	names := make([]string, len(p.Cols))
-	for i, col := range p.Cols {
-		names[i] = col.Name
-	}
-	return &projectIter{
-		child: child,
-		cols:  p.Cols,
-		name:  p.Name,
-		s:     relation.NewScheme(names...),
-		op:    opStats{span: span},
-	}, nil
-}
-
-func (it *projectIter) Scheme() *relation.Scheme { return it.s }
-func (it *projectIter) Name() string             { return it.name }
-func (it *projectIter) Close() {
-	it.child.Close()
-	it.op.close()
-}
-
-func (it *projectIter) Next() ([]relation.Tuple, error) {
-	batch, err := it.child.Next()
-	if err != nil || batch == nil {
-		return nil, err
-	}
-	it.buf = it.buf[:0]
-	for _, t := range batch {
-		vals := make([]value.Value, len(it.cols))
-		for i, col := range it.cols {
-			vals[i] = col.Expr.Eval(t)
-		}
-		it.buf = append(it.buf, relation.NewTuple(it.s, vals...))
-	}
-	it.op.observe(it.buf)
-	return it.buf, nil
-}
-
-// dedup is a streaming duplicate filter keyed on Tuple.Hash64 with
-// value-wise confirmation: the first tuple per hash lives in a compact
-// map and true hash collisions spill into a rare overflow map, so no
-// per-tuple key strings are allocated.
-type dedup struct {
-	seen map[uint64]relation.Tuple
-	over map[uint64][]relation.Tuple
-}
-
-// add records t and reports whether it was new.
-func (d *dedup) add(t relation.Tuple) bool {
-	h := t.Hash64()
-	u, ok := d.seen[h]
-	if !ok {
-		d.seen[h] = t
-		return true
-	}
-	if u.Equal(t) {
-		return false
-	}
-	for _, v := range d.over[h] {
-		if v.Equal(t) {
-			return false
-		}
-	}
-	if d.over == nil {
-		d.over = map[uint64][]relation.Tuple{}
-	}
-	d.over[h] = append(d.over[h], t)
-	return true
-}
-
-// distinctIter streams the child with duplicates removed, keeping
-// first occurrences.
-type distinctIter struct {
-	child Iterator
-	d     dedup
-	buf   []relation.Tuple
-	op    opStats
-}
-
-// Open streams the deduplicated child.
-func (d Distinct) Open(ctx context.Context, in *relation.Instance) (Iterator, error) {
-	ctx, span := openOp(ctx, "op.distinct")
-	child, err := d.Child.Open(ctx, in)
-	if err != nil {
-		span.End()
-		return nil, err
-	}
-	return &distinctIter{child: child, d: dedup{seen: map[uint64]relation.Tuple{}}, op: opStats{span: span}}, nil
-}
-
-func (it *distinctIter) Scheme() *relation.Scheme { return it.child.Scheme() }
-func (it *distinctIter) Name() string             { return it.child.Name() }
-func (it *distinctIter) Close() {
-	it.child.Close()
-	it.op.close()
-}
-
-func (it *distinctIter) Next() ([]relation.Tuple, error) {
-	it.buf = it.buf[:0]
-	for {
-		batch, err := it.child.Next()
-		if err != nil {
-			return nil, err
-		}
-		if batch == nil {
-			return nil, nil
-		}
-		for _, t := range batch {
-			if it.d.add(t) {
-				it.buf = append(it.buf, t)
-			}
-		}
-		if len(it.buf) > 0 {
-			it.op.observe(it.buf)
-			return it.buf, nil
-		}
-	}
-}
-
-// unionIter streams the deduplicated union: all of the left stream,
-// then the right stream aligned to the left scheme, duplicates removed
-// across both in first-occurrence order.
-type unionIter struct {
-	left, right Iterator
-	s           *relation.Scheme
-	name        string
-	alignRight  bool
-	onRight     bool
-	d           dedup
-	buf         []relation.Tuple
-	op          opStats
-}
-
-// Open streams the union; the children's schemes must have the same
-// attribute set.
-func (u Union) Open(ctx context.Context, in *relation.Instance) (Iterator, error) {
-	ctx, span := openOp(ctx, "op.union")
-	l, err := u.L.Open(ctx, in)
-	if err != nil {
-		span.End()
-		return nil, err
-	}
-	r, err := u.R.Open(ctx, in)
-	if err != nil {
-		l.Close()
-		span.End()
-		return nil, err
-	}
-	if !l.Scheme().SameSet(r.Scheme()) {
-		err := fmt.Errorf("algebra: UNION of incompatible schemes %v and %v", l.Scheme(), r.Scheme())
-		l.Close()
-		r.Close()
-		span.End()
-		return nil, err
-	}
-	return &unionIter{
-		left:       l,
-		right:      r,
-		s:          l.Scheme(),
-		name:       l.Name(),
-		alignRight: !l.Scheme().Equal(r.Scheme()),
-		d:          dedup{seen: map[uint64]relation.Tuple{}},
-		op:         opStats{span: span},
-	}, nil
-}
-
-func (it *unionIter) Scheme() *relation.Scheme { return it.s }
-func (it *unionIter) Name() string             { return it.name }
-func (it *unionIter) Close() {
-	it.left.Close()
-	it.right.Close()
-	it.op.close()
-}
-
-func (it *unionIter) Next() ([]relation.Tuple, error) {
-	it.buf = it.buf[:0]
-	for {
-		src := it.left
-		if it.onRight {
-			src = it.right
-		}
-		batch, err := src.Next()
-		if err != nil {
-			return nil, err
-		}
-		if batch == nil {
-			if it.onRight {
-				return nil, nil
-			}
-			it.onRight = true
-			continue
-		}
-		for _, t := range batch {
-			if it.onRight && it.alignRight {
-				t = t.Project(it.s)
-			}
-			if it.d.add(t) {
-				it.buf = append(it.buf, t)
-			}
-		}
-		if len(it.buf) > 0 {
-			it.op.observe(it.buf)
-			return it.buf, nil
-		}
-	}
-}
-
-// crossIter streams the cross product: the left input is streamed,
-// the right input is materialized once, and every output batch is
-// charged against the context budget.
-type crossIter struct {
-	ctx    context.Context
-	flow   *budget.Flow
-	s      *relation.Scheme
-	left   Iterator
-	lbatch []relation.Tuple
-	li     int
-	r      *relation.Relation
-	ri     int
-	done   bool
-	buf    []relation.Tuple
-	op     opStats
-}
-
-// Open streams the cross product, materializing only the right child.
-func (c Cross) Open(ctx context.Context, in *relation.Instance) (Iterator, error) {
-	ctx, span := openOp(ctx, "op.cross")
-	left, err := c.L.Open(ctx, in)
-	if err != nil {
-		span.End()
-		return nil, err
-	}
-	r, err := materializeChild(ctx, c.R, in)
-	if err != nil {
-		left.Close()
-		span.End()
-		return nil, err
-	}
-	return &crossIter{
-		ctx:  ctx,
-		flow: budget.FromContext(ctx).NewFlow(),
-		s:    left.Scheme().Concat(r.Scheme()),
-		left: left,
-		r:    r,
-		op:   opStats{span: span},
-	}, nil
-}
-
-func (it *crossIter) Scheme() *relation.Scheme { return it.s }
-func (it *crossIter) Name() string             { return "" }
-func (it *crossIter) Close() {
-	it.flow.Release()
-	it.left.Close()
-	it.op.close()
-}
-
-func (it *crossIter) Next() ([]relation.Tuple, error) {
-	if err := it.ctx.Err(); err != nil {
-		return nil, err
-	}
-	it.buf = it.buf[:0]
-	var bytes int64
-	for len(it.buf) < BatchSize && !it.done && it.r.Len() > 0 {
-		if it.li >= len(it.lbatch) {
-			batch, err := it.left.Next()
-			if err != nil {
-				return nil, err
-			}
-			if batch == nil {
-				it.done = true
-				break
-			}
-			it.lbatch, it.li, it.ri = batch, 0, 0
-		}
-		t := it.lbatch[it.li].ConcatTo(it.s, it.r.At(it.ri))
-		it.buf = append(it.buf, t)
-		bytes += t.ApproxBytes()
-		it.ri++
-		if it.ri >= it.r.Len() {
-			it.ri = 0
-			it.li++
-		}
-	}
-	if len(it.buf) == 0 {
-		return nil, nil
-	}
-	if err := it.flow.Charge(int64(len(it.buf)), bytes); err != nil {
-		return nil, err
-	}
-	it.op.observe(it.buf)
-	return it.buf, nil
-}
-
-// Open computes the minimum union of the materialized children and
-// streams the result.
-func (m MinUnion) Open(ctx context.Context, in *relation.Instance) (Iterator, error) {
-	ctx, span := openOp(ctx, "op.minunion")
-	rels := make([]*relation.Relation, len(m.Children))
-	for i, c := range m.Children {
-		r, err := materializeChild(ctx, c, in)
-		if err != nil {
-			span.End()
-			return nil, err
-		}
-		rels[i] = r
-	}
-	out := relation.MinimumUnionAll(m.Name, rels...)
-	return &relIter{ctx: ctx, rel: out, name: m.Name, op: opStats{span: span}}, nil
 }

@@ -3,11 +3,9 @@ package algebra
 import (
 	"context"
 
-	"clio/internal/budget"
 	"clio/internal/expr"
 	"clio/internal/obs"
 	"clio/internal/relation"
-	"clio/internal/value"
 )
 
 // Join-kernel counters. Per-tuple work is accumulated locally and
@@ -24,9 +22,9 @@ var (
 )
 
 // JoinRelations joins two materialized relations under the given kind
-// and predicate, without a resource budget. See OpenJoin.
+// and predicate, without a resource budget.
 func JoinRelations(kind JoinKind, l, r *relation.Relation, on expr.Expr) *relation.Relation {
-	out, err := Drain(OpenJoin(context.Background(), kind, l, r, on))
+	out, err := JoinRelationsCtx(context.Background(), kind, l, r, on)
 	if err != nil {
 		// Unreachable: only budget charges and cancellation fail, and
 		// the background context carries neither.
@@ -41,227 +39,8 @@ func JoinRelations(kind JoinKind, l, r *relation.Relation, on expr.Expr) *relati
 // materialize more than the budget allows stops early with a
 // budget.Error instead of exhausting memory.
 func JoinRelationsCtx(ctx context.Context, kind JoinKind, l, r *relation.Relation, on expr.Expr) (*relation.Relation, error) {
-	return Drain(OpenJoin(ctx, kind, l, r, on))
-}
-
-// joinIter stages, in output order: matched pairs, left outer
-// padding, right outer padding.
-const (
-	joinStageMatch = iota
-	joinStageLeftPad
-	joinStageRightPad
-	joinStageDone
-)
-
-// joinIter streams the join of two materialized relations. When the
-// predicate contains equality conjuncts between one left column and
-// one right column, those conjuncts drive a hash join — the index is
-// built on the smaller relation, the larger one probes — and only the
-// residual predicate is evaluated per candidate pair; otherwise the
-// join degrades to a nested loop. Budget charges and cancellation
-// checks happen once per output batch.
-type joinIter struct {
-	ctx      context.Context
-	flow     *budget.Flow
-	kind     JoinKind
-	s        *relation.Scheme
-	l, r     *relation.Relation
-	on       expr.Expr // nested-loop predicate (nil on the hash path)
-	residual expr.Expr // hash-path residual predicate
-
-	ix        *relation.Index    // hash path; nil means nested loop
-	probe     *relation.Relation // relation whose rows drive the probes
-	probePos  []int
-	buildLeft bool // index is over l, so probe rows are r's
-
-	pi   int   // next probe row (hash) / current left row (nested)
-	ni   int   // nested-loop inner cursor
-	cand []int // current hash bucket candidates
-	ci   int
-
-	lMatched, rMatched []bool
-	lNull, rNull       relation.Tuple
-	arena              *relation.TupleArena
-
-	stage int
-	padi  int
-
-	buf             []relation.Tuple
-	probes, matches int64
-	op              opStats
-}
-
-// OpenJoin returns a streaming iterator over the join of two
-// materialized relations, with budget accounting and cancellation
-// drawn from ctx.
-func OpenJoin(ctx context.Context, kind JoinKind, l, r *relation.Relation, on expr.Expr) Iterator {
-	ctx, span := openOp(ctx, "op.join")
-	span.SetStr("kind", kind.String())
-	return newJoinIter(ctx, span, kind, l, r, on)
-}
-
-func newJoinIter(ctx context.Context, span *obs.Span, kind JoinKind, l, r *relation.Relation, on expr.Expr) *joinIter {
-	it := &joinIter{
-		ctx:      ctx,
-		flow:     budget.FromContext(ctx).NewFlow(),
-		kind:     kind,
-		s:        l.Scheme().Concat(r.Scheme()),
-		l:        l,
-		r:        r,
-		lMatched: make([]bool, l.Len()),
-		rMatched: make([]bool, r.Len()),
-		lNull:    relation.AllNull(l.Scheme()),
-		rNull:    relation.AllNull(r.Scheme()),
-		op:       opStats{span: span},
-	}
-	it.arena = relation.NewTupleArena(it.s)
-	cJoinCalls.Inc()
-	eqL, eqR, residual := SplitEquiConjuncts(on, l.Scheme(), r.Scheme())
-	if len(eqL) > 0 {
-		cJoinHash.Inc()
-		it.residual = residual
-		if l.Len() <= r.Len() {
-			cJoinBuildLeft.Inc()
-			it.buildLeft = true
-			it.ix = l.BuildIndex(eqL...)
-			it.probe = r
-			it.probePos = r.Scheme().Positions(eqR...)
-		} else {
-			cJoinBuildRight.Inc()
-			it.ix = r.BuildIndex(eqR...)
-			it.probe = l
-			it.probePos = l.Scheme().Positions(eqL...)
-		}
-		span.SetBool("hash", true)
-	} else {
-		cJoinNested.Inc()
-		it.on = on
-		span.SetBool("hash", false)
-	}
-	return it
-}
-
-func (it *joinIter) Scheme() *relation.Scheme { return it.s }
-func (it *joinIter) Name() string             { return "" }
-
-func (it *joinIter) Close() {
-	if it.op.done {
-		return
-	}
-	it.flow.Release()
-	cJoinProbes.Add(it.probes)
-	cJoinMatches.Add(it.matches)
-	cJoinOut.Add(it.op.rows)
-	it.op.close()
-}
-
-func (it *joinIter) Next() ([]relation.Tuple, error) {
-	if err := it.ctx.Err(); err != nil {
-		return nil, err
-	}
-	it.buf = it.buf[:0]
-	var bytes int64
-	for len(it.buf) < BatchSize && it.stage != joinStageDone {
-		switch it.stage {
-		case joinStageMatch:
-			t, ok := it.nextMatch()
-			if !ok {
-				it.stage, it.padi = joinStageLeftPad, 0
-				continue
-			}
-			it.buf = append(it.buf, t)
-			bytes += t.ApproxBytes()
-		case joinStageLeftPad:
-			if it.kind != LeftJoin && it.kind != FullJoin {
-				it.stage, it.padi = joinStageRightPad, 0
-				continue
-			}
-			for it.padi < len(it.lMatched) && it.lMatched[it.padi] {
-				it.padi++
-			}
-			if it.padi >= len(it.lMatched) {
-				it.stage, it.padi = joinStageRightPad, 0
-				continue
-			}
-			t := it.arena.Concat(it.l.At(it.padi), it.rNull)
-			it.padi++
-			it.buf = append(it.buf, t)
-			bytes += t.ApproxBytes()
-		case joinStageRightPad:
-			if it.kind != RightJoin && it.kind != FullJoin {
-				it.stage = joinStageDone
-				continue
-			}
-			for it.padi < len(it.rMatched) && it.rMatched[it.padi] {
-				it.padi++
-			}
-			if it.padi >= len(it.rMatched) {
-				it.stage = joinStageDone
-				continue
-			}
-			t := it.arena.Concat(it.lNull, it.r.At(it.padi))
-			it.padi++
-			it.buf = append(it.buf, t)
-			bytes += t.ApproxBytes()
-		}
-	}
-	if len(it.buf) == 0 {
-		return nil, nil
-	}
-	if err := it.flow.Charge(int64(len(it.buf)), bytes); err != nil {
-		return nil, err
-	}
-	it.op.observe(it.buf)
-	return it.buf, nil
-}
-
-// nextMatch produces the next matched pair in probe order (hash path:
-// probe relation order, then bucket order; nested path: left-major).
-func (it *joinIter) nextMatch() (relation.Tuple, bool) {
-	if it.ix != nil {
-		for {
-			for it.ci < len(it.cand) {
-				b := it.cand[it.ci]
-				it.ci++
-				li, ri := it.pi-1, b
-				if it.buildLeft {
-					li, ri = b, it.pi-1
-				}
-				if it.residual != nil {
-					probe := it.arena.ConcatScratch(it.l.At(li), it.r.At(ri))
-					if expr.Truth(it.residual, probe) != value.True {
-						continue
-					}
-				}
-				it.lMatched[li] = true
-				it.rMatched[ri] = true
-				it.matches++
-				return it.arena.Concat(it.l.At(li), it.r.At(ri)), true
-			}
-			if it.pi >= it.probe.Len() {
-				return relation.Tuple{}, false
-			}
-			it.probes++
-			it.cand = it.ix.ProbeTuple(it.probe.At(it.pi), it.probePos)
-			it.ci = 0
-			it.pi++
-		}
-	}
-	for ; it.pi < it.l.Len(); it.pi, it.ni = it.pi+1, 0 {
-		for it.ni < it.r.Len() {
-			ri := it.ni
-			it.ni++
-			it.probes++
-			probe := it.arena.ConcatScratch(it.l.At(it.pi), it.r.At(ri))
-			if expr.Truth(it.on, probe) == value.True {
-				it.lMatched[it.pi] = true
-				it.rMatched[ri] = true
-				it.matches++
-				return it.arena.Concat(it.l.At(it.pi), it.r.At(ri)), true
-			}
-		}
-	}
-	return relation.Tuple{}, false
+	ctx, span := openJoinSpan(ctx, kind, on, 0)
+	return Drain(newJoinKernel(ctx, opStats{span: span}, kind, l.Columns(), r.Columns(), on, BatchSize))
 }
 
 // SplitEquiConjuncts decomposes predicate p (viewed as a conjunction)

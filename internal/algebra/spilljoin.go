@@ -1,17 +1,18 @@
 package algebra
 
 // Grace-hash spill join: when the context budget carries a spill
-// directory (budget.Budget.SpillDir), Join.Open routes here instead of
+// directory (budget.Budget.SpillDir), openJoin routes here instead of
 // materializing both children unconditionally. Each side sinks through
-// a spillSide: tuples are retained in memory and charged against the
-// budget until a charge fails, at which point everything seen so far —
-// and everything still streaming — is hash-partitioned to temp files
-// on the side's equi-join columns and the memory charges refunded.
-// The join then runs partition by partition: equal keys hash to the
-// same partition on both sides (the canonical tuple hashes normalize
+// a spillSide: rows are retained in memory as a batch and charged
+// against the budget until a charge fails, at which point everything
+// seen so far — and everything still streaming — is hash-partitioned
+// to temp files on the side's equi-join columns and the memory charges
+// refunded. The join then runs partition by partition: equal keys hash
+// to the same partition on both sides (the canonical hashes normalize
 // cross-kind numeric equality, and null keys hash identically on both
-// sides), so each per-partition joinIter — matches, residual
-// predicates, and outer padding included — is globally exact.
+// sides), so each per-partition join kernel — matches, residual
+// predicates, and outer padding included — is globally exact. Every
+// join kernel opened here emits at most SpillBatchSize rows per batch.
 //
 // Partition pairs are processed one at a time off a task queue (see
 // graceJoinIter): an oversized pair — skewed keys whose partition
@@ -22,11 +23,13 @@ package algebra
 // (pairReplayBound) so a provably-doomed replay aborts before paying
 // any partition I/O.
 //
-// Everything runs on the consumer's goroutine. Every step that takes a
-// charge or creates a partition file registers it with its owner
-// before the next call that can fail or panic, so an error return or a
-// panic unwinding through the join leaves no charge and no file once
-// the iterator is closed.
+// The Grace join runs on the consumer's goroutine; only a pair's join
+// kernel may run morsel workers, which take no charge and whose panics
+// re-raise on the consumer's goroutine (runWorkers). Every step that
+// takes a charge or creates a partition file registers it with its
+// owner before the next call that can fail or panic, so an error
+// return or a panic unwinding through the join leaves no charge and no
+// file once the iterator is closed.
 //
 // Joins with no equi conjunct cannot be hash-partitioned; an
 // over-budget build side there stays a typed abort (the budget error
@@ -41,17 +44,17 @@ import (
 	"clio/internal/expr"
 	"clio/internal/relation"
 	"clio/internal/spill"
+	"clio/internal/value"
 )
 
-// spillSide is one sunk join input: fully in memory (rel), in memory
-// partitioned to match a spilled counterpart (groups), or spilled to
-// temp-file partitions (parts).
+// spillSide is one sunk join input: fully in memory (b), in memory
+// partitioned to match a spilled counterpart (groups, selection views
+// of b), or spilled to temp-file partitions (parts).
 type spillSide struct {
-	name   string
 	scheme *relation.Scheme
 	cols   []int // equi-join hash positions within scheme
-	rel    *relation.Relation
-	groups []*relation.Relation
+	b      *relation.Batch
+	groups []*relation.Batch
 	parts  *spill.PartitionSet
 	// rows/bytes are the retained in-memory charges (zero for base
 	// relations, which the instance pins regardless of this join).
@@ -72,78 +75,82 @@ func (sd *spillSide) close(tr *budget.Tracker) {
 func (sd *spillSide) spilled() bool { return sd.parts != nil }
 
 // partitionMem splits an in-memory side into n hash groups so it can
-// join a spilled counterpart partition by partition. The groups share
-// tuple storage with rel, so nothing new is charged.
+// join a spilled counterpart partition by partition. The groups are
+// views of the side's batch, so nothing new is charged.
 func (sd *spillSide) partitionMem(n int) {
-	if sd.rel == nil || sd.groups != nil {
+	if sd.b == nil || sd.groups != nil {
 		return
 	}
-	sd.groups = splitRelSalted(sd.rel, sd.scheme, sd.cols, n, 0)
+	sd.groups = splitSalted(sd.b, sd.cols, n, 0)
 }
 
 // openSide prepares one child for sinking: base relations (scans and
-// already-materialized nodes) come back as a pinned relation — they
+// already-materialized nodes) come back as their cached columns — they
 // are instance state, not new materialization, so they are neither
 // charged nor spilled — and anything else as its open iterator.
-func openSide(ctx context.Context, n Node, in *relation.Instance) (Iterator, *relation.Relation, error) {
-	switch x := n.(type) {
-	case Scan:
-		r, err := x.Eval(in)
-		return nil, r, err
-	case Materialized:
-		return nil, x.Rel, nil
+func openSide(ctx context.Context, n Node, in *relation.Instance) (Iterator, *relation.Batch, error) {
+	if b, ok, err := baseColumns(n, in); ok {
+		return nil, b, err
 	}
-	it, err := n.Open(ctx, in)
+	it, err := Open(ctx, n, in)
 	return it, nil, err
 }
 
 // sinkSide drains one join input into a spillSide, switching from
 // charged in-memory retention to Grace-hash temp-file partitions the
-// moment the budget refuses a charge. cols are the side's equi-join
-// positions; without them an over-budget side cannot spill and the
-// budget error propagates as a typed abort. The iterator (when any) is
-// closed in all cases, and a side that is not returned — an error or a
-// panic while sinking — is closed too.
-func sinkSide(tr *budget.Tracker, it Iterator, base *relation.Relation, cols []int) (*spillSide, error) {
+// moment the budget refuses a charge. Each row is charged its
+// ApproxBytesRow, so a side refuses at the same row whatever the batch
+// boundaries. cols are the side's equi-join positions; without them an
+// over-budget side cannot spill and the budget error propagates as a
+// typed abort. The iterator (when any) is closed in all cases, and a
+// side that is not returned — an error or a panic while sinking — is
+// closed too.
+func sinkSide(tr *budget.Tracker, it Iterator, base *relation.Batch, cols []int) (*spillSide, error) {
 	if base != nil {
-		return &spillSide{name: base.Name, scheme: base.Scheme(), cols: cols, rel: base}, nil
+		return &spillSide{scheme: base.Scheme(), cols: cols, b: base}, nil
 	}
 	defer it.Close()
-	side := &spillSide{
-		name:   it.Name(),
-		scheme: it.Scheme(),
-		cols:   cols,
-		rel:    relation.New(it.Name(), it.Scheme()),
-	}
+	side := &spillSide{scheme: it.Scheme(), cols: cols, b: relation.NewBatch(it.Scheme())}
 	sunk := false
 	defer func() {
 		if !sunk {
 			side.close(tr)
 		}
 	}()
+	var sel []int32
+	// A frame is encoded as it is added, so rows go to the partitions
+	// through one borrowed scratch tuple.
+	scratch := make([]value.Value, side.scheme.Arity())
 	for {
-		batch, err := it.Next()
+		b, err := it.NextBatch()
 		if err != nil {
 			return nil, err
 		}
-		if batch == nil {
+		if b == nil {
 			sunk = true
 			return side, nil
 		}
-		for _, t := range batch {
-			if side.spilled() {
-				if err := side.parts.Add(t); err != nil {
-					return nil, err
+		n, i := b.Len(), 0
+		if !side.spilled() {
+			var cerr error
+			for ; i < n; i++ {
+				by := b.ApproxBytesRow(i)
+				if cerr = tr.Charge(1, by); cerr != nil {
+					break
 				}
+				side.rows++
+				side.bytes += by
+			}
+			if i == n {
+				side.b.AppendBatch(b)
 				continue
 			}
-			b := t.ApproxBytes()
-			cerr := tr.Charge(1, b)
-			if cerr == nil {
-				side.rel.Add(t)
-				side.rows++
-				side.bytes += b
-				continue
+			if i > 0 {
+				sel = sel[:0]
+				for j := 0; j < i; j++ {
+					sel = append(sel, int32(b.RowID(j)))
+				}
+				side.b.AppendBatch(b.View(sel))
 			}
 			if len(cols) == 0 {
 				return nil, cerr
@@ -151,30 +158,28 @@ func sinkSide(tr *budget.Tracker, it Iterator, base *relation.Relation, cols []i
 			// Overflow: move the retained prefix to disk, refund its
 			// memory, and keep streaming straight to the partitions.
 			side.parts = spill.NewPartitionSet(tr, spill.DefaultPartitions, cols)
-			for _, u := range side.rel.Tuples() {
-				if err := side.parts.Add(u); err != nil {
+			for j := 0; j < side.b.Len(); j++ {
+				if err := side.parts.Add(side.b.TupleInto(scratch, j)); err != nil {
 					return nil, err
 				}
 			}
 			tr.Refund(side.rows, side.bytes)
 			side.rows, side.bytes = 0, 0
-			side.rel = nil
-			if err := side.parts.Add(t); err != nil {
+			side.b = nil
+		}
+		for ; i < n; i++ {
+			if err := side.parts.Add(b.TupleInto(scratch, i)); err != nil {
 				return nil, err
 			}
 		}
 	}
 }
 
-// openSpillJoin is Join.Open under a spill-enabled budget. Until it
+// openSpillJoin is openJoin under a spill-enabled budget. Until it
 // returns an iterator it owns the open children, the sunk sides and
 // the span, and releases them on an error return or a panic.
-func openSpillJoin(ctx context.Context, j Join, in *relation.Instance) (Iterator, error) {
-	ctx, span := openOp(ctx, "op.join")
-	span.SetStr("kind", j.Kind.String())
-	if j.EstRows > 0 {
-		span.SetInt("est_rows", j.EstRows)
-	}
+func openSpillJoin(ctx context.Context, kind JoinKind, l, r Node, on expr.Expr, est int64, in *relation.Instance) (Iterator, error) {
+	ctx, span := openJoinSpan(ctx, kind, on, est)
 	tr := budget.FromContext(ctx)
 	// li and ri are the children not yet handed to sinkSide, which
 	// closes what it is given.
@@ -195,20 +200,21 @@ func openSpillJoin(ctx context.Context, j Join, in *relation.Instance) (Iterator
 		right.close(tr)
 		span.End()
 	}()
-	li, lbase, err := openSide(ctx, j.L, in)
+	li, lbase, err := openSide(ctx, l, in)
 	if err != nil {
 		return nil, err
 	}
-	ri, rbase, err := openSide(ctx, j.R, in)
+	ri, rbase, err := openSide(ctx, r, in)
 	if err != nil {
 		return nil, err
 	}
 	ls, rs := sideScheme(li, lbase), sideScheme(ri, rbase)
-	eqL, eqR, _ := SplitEquiConjuncts(j.On, ls, rs)
 	var lcols, rcols []int
-	if len(eqL) > 0 {
-		lcols = ls.Positions(eqL...)
-		rcols = rs.Positions(eqR...)
+	if on != nil {
+		if eqL, eqR, _ := SplitEquiConjuncts(on, ls, rs); len(eqL) > 0 {
+			lcols = ls.Positions(eqL...)
+			rcols = rs.Positions(eqR...)
+		}
 	}
 	sinkL := li
 	li = nil
@@ -221,11 +227,11 @@ func openSpillJoin(ctx context.Context, j Join, in *relation.Instance) (Iterator
 		return nil, err
 	}
 	if !left.spilled() && !right.spilled() {
-		// Everything fit: the standard streaming join, with the sides'
+		// Everything fit: the in-memory kernel, with the sides'
 		// retained charges released when it closes.
 		opened = true
 		return &sideReleaseIter{
-			joinIter: newJoinIter(ctx, span, j.Kind, left.rel, right.rel, j.On),
+			Iterator: newJoinKernel(ctx, opStats{span: span}, kind, left.b, right.b, on, SpillBatchSize),
 			tr:       tr,
 			sides:    [2]*spillSide{left, right},
 		}, nil
@@ -247,8 +253,8 @@ func openSpillJoin(ctx context.Context, j Join, in *relation.Instance) (Iterator
 	it := &graceJoinIter{
 		ctx:      ctx,
 		tr:       tr,
-		kind:     j.Kind,
-		on:       j.On,
+		kind:     kind,
+		on:       on,
 		s:        ls.Concat(rs),
 		left:     left,
 		right:    right,
@@ -304,24 +310,24 @@ func pairReplayBound(tr *budget.Tracker, left, right *spillSide, n int) error {
 	return nil
 }
 
-func sideScheme(it Iterator, base *relation.Relation) *relation.Scheme {
+func sideScheme(it Iterator, base *relation.Batch) *relation.Scheme {
 	if base != nil {
 		return base.Scheme()
 	}
 	return it.Scheme()
 }
 
-// sideReleaseIter is a joinIter over fully-sunk in-memory sides; it
+// sideReleaseIter is a join kernel over fully-sunk in-memory sides; it
 // refunds the sides' retained charges on Close (the join output is the
 // consumer's to account for).
 type sideReleaseIter struct {
-	*joinIter
+	Iterator
 	tr    *budget.Tracker
 	sides [2]*spillSide
 }
 
 func (it *sideReleaseIter) Close() {
-	it.joinIter.Close()
+	it.Iterator.Close()
 	it.sides[0].close(it.tr)
 	it.sides[1].close(it.tr)
 }
@@ -329,36 +335,35 @@ func (it *sideReleaseIter) Close() {
 // pairSrc is one side of one partition-pair task: either partition idx
 // of a PartitionSet (a spilled side, or a recursive child set) or an
 // in-memory hash group (an unspilled side, possibly a recursive salted
-// sub-split sharing tuple storage with its parent).
+// sub-split — a selection view of its parent's batch).
 type pairSrc struct {
-	name   string
 	scheme *relation.Scheme
 	cols   []int
-	rel    *relation.Relation  // in-memory group; nil when on disk
-	ps     *spill.PartitionSet // disk source; nil for rel
+	b      *relation.Batch     // in-memory group; nil when on disk
+	ps     *spill.PartitionSet // disk source; nil for b
 	idx    int
 }
 
 // sideSrc builds the depth-0 source for partition i of a sunk side.
 func sideSrc(sd *spillSide, i int) pairSrc {
-	src := pairSrc{name: sd.name, scheme: sd.scheme, cols: sd.cols, idx: i}
+	src := pairSrc{scheme: sd.scheme, cols: sd.cols, idx: i}
 	if sd.spilled() {
 		src.ps = sd.parts
 	} else {
-		src.rel = sd.groups[i]
+		src.b = sd.groups[i]
 	}
 	return src
 }
 
-// load materializes the source as a charged in-memory relation.
+// load materializes the source as a charged in-memory batch.
 // In-memory groups cost nothing (they share their parent's storage);
 // disk partitions charge each decoded tuple. A load that does not
-// return the relation — an error or a panic — refunds its charges.
-func (src *pairSrc) load(tr *budget.Tracker) (*relation.Relation, int64, int64, error) {
+// return the batch — an error or a panic — refunds its charges.
+func (src *pairSrc) load(tr *budget.Tracker) (*relation.Batch, int64, int64, error) {
 	if src.ps == nil {
-		return src.rel, 0, 0, nil
+		return src.b, 0, 0, nil
 	}
-	rel := relation.New(src.name, src.scheme)
+	b := relation.NewBatch(src.scheme)
 	var rows, bytes int64
 	loaded := false
 	defer func() {
@@ -367,20 +372,20 @@ func (src *pairSrc) load(tr *budget.Tracker) (*relation.Relation, int64, int64, 
 		}
 	}()
 	err := src.ps.Read(src.idx, src.scheme, func(t relation.Tuple) error {
-		b := t.ApproxBytes()
-		if err := tr.Charge(1, b); err != nil {
+		by := t.ApproxBytes()
+		if err := tr.Charge(1, by); err != nil {
 			return err
 		}
 		rows++
-		bytes += b
-		rel.Add(t)
+		bytes += by
+		b.AppendTuple(t)
 		return nil
 	})
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	loaded = true
-	return rel, rows, bytes, nil
+	return b, rows, bytes, nil
 }
 
 // pairTask is one pending partition pair at some recursion depth.
@@ -413,8 +418,8 @@ func (c *childSets) close() {
 }
 
 // graceJoinIter joins two partitioned sides pair by pair from a task
-// queue: load both halves of the pair (charged), run the standard
-// joinIter, refund, release, advance. Matched pairs and outer padding
+// queue: load both halves of the pair (charged), run the join kernel,
+// refund, release, advance. Matched pairs and outer padding
 // are per-partition exact because equal keys — and null keys — land in
 // the same partition on both sides at every depth.
 //
@@ -434,7 +439,7 @@ type graceJoinIter struct {
 	queue       []pairTask
 	owners      []*childSets
 	cur         pairTask
-	inner       *joinIter
+	inner       Iterator
 	loadedRows  int64
 	loadedBytes int64
 	emitted     bool // current pair has produced output (recursion no longer exact)
@@ -462,23 +467,23 @@ func (it *graceJoinIter) Close() {
 	it.op.close()
 }
 
-func (it *graceJoinIter) Next() ([]relation.Tuple, error) {
+func (it *graceJoinIter) NextBatch() (*relation.Batch, error) {
 	if err := it.ctx.Err(); err != nil {
 		return nil, err
 	}
 	for {
 		if it.inner == nil {
-			lrel, rrel, ok, err := it.nextPair()
+			lb, rb, ok, err := it.nextPair()
 			if err != nil {
 				return nil, err
 			}
 			if !ok {
 				return nil, nil
 			}
-			it.inner = newJoinIter(it.ctx, nil, it.kind, lrel, rrel, it.on)
+			it.inner = newJoinKernel(it.ctx, opStats{}, it.kind, lb, rb, it.on, SpillBatchSize)
 			it.emitted = false
 		}
-		batch, err := it.inner.Next()
+		b, err := it.inner.NextBatch()
 		if err != nil {
 			rerr, handled := it.recoverInnerBudget(err)
 			if !handled {
@@ -489,10 +494,10 @@ func (it *graceJoinIter) Next() ([]relation.Tuple, error) {
 			}
 			continue
 		}
-		if batch != nil {
+		if b != nil {
 			it.emitted = true
-			it.op.observe(batch)
-			return batch, nil
+			it.op.observe(b.Len())
+			return b, nil
 		}
 		it.inner.Close()
 		it.inner = nil
@@ -537,15 +542,15 @@ func (it *graceJoinIter) recoverInnerBudget(err error) (rerr error, handled bool
 
 // nextPair loads the next partition pair, recursing on budget
 // refusals until the pair fits or the depth limit is hit.
-func (it *graceJoinIter) nextPair() (*relation.Relation, *relation.Relation, bool, error) {
+func (it *graceJoinIter) nextPair() (*relation.Batch, *relation.Batch, bool, error) {
 	for len(it.queue) > 0 {
 		task := it.queue[0]
 		it.queue = it.queue[1:]
-		lrel, rrel, rows, bytes, err := it.loadPair(task)
+		lb, rb, rows, bytes, err := it.loadPair(task)
 		if err == nil {
 			it.cur = task
 			it.loadedRows, it.loadedBytes = rows, bytes
-			return lrel, rrel, true, nil
+			return lb, rb, true, nil
 		}
 		// Partial charges were refunded by the load. Only an in-memory
 		// budget refusal is recursable: I/O faults, ctx cancellation,
@@ -575,23 +580,23 @@ func (it *graceJoinIter) nextPair() (*relation.Relation, *relation.Relation, boo
 // loadPair loads both halves of a task, charged. A pair that is not
 // returned — an error or a panic in the right half's load — refunds
 // the left half's charges too.
-func (it *graceJoinIter) loadPair(task pairTask) (*relation.Relation, *relation.Relation, int64, int64, error) {
-	lrel, lr, lb, err := task.l.load(it.tr)
+func (it *graceJoinIter) loadPair(task pairTask) (*relation.Batch, *relation.Batch, int64, int64, error) {
+	lb, lrows, lbytes, err := task.l.load(it.tr)
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
 	loaded := false
 	defer func() {
 		if !loaded {
-			it.tr.Refund(lr, lb)
+			it.tr.Refund(lrows, lbytes)
 		}
 	}()
-	rrel, rr, rb, err := task.r.load(it.tr)
+	rb, rrows, rbytes, err := task.r.load(it.tr)
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
 	loaded = true
-	return lrel, rrel, lr + rr, lb + rb, nil
+	return lb, rb, lrows + rrows, lbytes + rbytes, nil
 }
 
 // releaseTask retires a completed (or recursed) task, closing its
@@ -609,7 +614,7 @@ func (it *graceJoinIter) releaseTask(task pairTask) {
 // recurse re-partitions both halves of an oversized pair with the next
 // depth's salt and queues the fan-out child pairs. The parent disk
 // partitions are dropped once split (their bytes refunded); in-memory
-// halves split into salted sub-groups sharing the parent's storage.
+// halves split into salted sub-groups sharing the parent's columns.
 // The child sets are registered with the iterator before either half
 // splits, so Close removes them whatever the split does.
 func (it *graceJoinIter) recurse(task pairTask) error {
@@ -618,9 +623,9 @@ func (it *graceJoinIter) recurse(task pairTask) error {
 	fan := spill.DefaultPartitions
 	owner := &childSets{remaining: fan}
 	it.owners = append(it.owners, owner)
-	split := func(src pairSrc) (*spill.PartitionSet, []*relation.Relation, error) {
+	split := func(src pairSrc) (*spill.PartitionSet, []*relation.Batch, error) {
 		if src.ps == nil {
-			return nil, splitRelSalted(src.rel, src.scheme, src.cols, fan, salt), nil
+			return nil, splitSalted(src.b, src.cols, fan, salt), nil
 		}
 		child, err := src.ps.Repartition(src.idx, src.scheme, fan, salt)
 		if err != nil {
@@ -651,27 +656,34 @@ func (it *graceJoinIter) recurse(task pairTask) error {
 
 // childSrc derives the child source for fan-out slot i of a recursed
 // parent source.
-func childSrc(parent pairSrc, ps *spill.PartitionSet, sub []*relation.Relation, i int) pairSrc {
-	src := pairSrc{name: parent.name, scheme: parent.scheme, cols: parent.cols, idx: i}
+func childSrc(parent pairSrc, ps *spill.PartitionSet, sub []*relation.Batch, i int) pairSrc {
+	src := pairSrc{scheme: parent.scheme, cols: parent.cols, idx: i}
 	if ps != nil {
 		src.ps = ps
 	} else {
-		src.rel = sub[i]
+		src.b = sub[i]
 	}
 	return src
 }
 
-// splitRelSalted splits an in-memory relation into n salted hash
-// groups on cols, with byte-identical routing to a spilled counterpart
-// (spill.Route). The groups share tuple storage with rel, so nothing
-// new is charged.
-func splitRelSalted(rel *relation.Relation, s *relation.Scheme, cols []int, n int, salt uint64) []*relation.Relation {
-	out := make([]*relation.Relation, n)
-	for i := range out {
-		out[i] = relation.New(rel.Name, s)
+// splitSalted splits a batch's visible rows into n salted hash groups
+// on cols, with byte-identical routing to a spilled counterpart
+// (spill.RouteHash over HashRowsOn ≡ spill.Route). The groups are
+// selection views of b, so nothing new is charged.
+func splitSalted(b *relation.Batch, cols []int, n int, salt uint64) []*relation.Batch {
+	hs := make([]uint64, b.Len())
+	b.HashRowsOn(cols, hs, nil)
+	sels := make([][]int32, n)
+	for i := range sels {
+		sels[i] = []int32{}
 	}
-	for _, t := range rel.Tuples() {
-		out[spill.Route(t, cols, salt, n)].Add(t)
+	for i, h := range hs {
+		g := spill.RouteHash(h, salt, n)
+		sels[g] = append(sels[g], int32(b.RowID(i)))
+	}
+	out := make([]*relation.Batch, n)
+	for i, sel := range sels {
+		out[i] = b.View(sel)
 	}
 	return out
 }

@@ -102,7 +102,7 @@ func TestBudgetSpillJoinDifferentialAllKinds(t *testing.T) {
 				L: Select{Child: NewScan("L", ""), Pred: expr.MustParse("TRUE")},
 				R: Select{Child: NewScan("R", ""), Pred: expr.MustParse("TRUE")},
 			}
-			it, err := j.Open(ctx, in)
+			it, err := Open(ctx, j, in)
 			if err != nil {
 				t.Fatalf("%s: open: %v", label, err)
 			}
@@ -131,7 +131,7 @@ func TestBudgetSpillNonEquiJoinTypedAbort(t *testing.T) {
 		L: Select{Child: NewScan("L", ""), Pred: expr.MustParse("TRUE")},
 		R: Select{Child: NewScan("R", ""), Pred: expr.MustParse("TRUE")},
 	}
-	it, err := j.Open(ctx, in)
+	it, err := Open(ctx, j, in)
 	if err == nil {
 		_, err = Drain(it)
 	}
@@ -163,7 +163,7 @@ func TestChaosSpillJoinWriteFaultTypedAbort(t *testing.T) {
 		L: Select{Child: NewScan("L", ""), Pred: expr.MustParse("TRUE")},
 		R: Select{Child: NewScan("R", ""), Pred: expr.MustParse("TRUE")},
 	}
-	it, err := j.Open(ctx, in)
+	it, err := Open(ctx, j, in)
 	if err == nil {
 		_, err = Drain(it)
 	}
@@ -194,7 +194,7 @@ func TestChaosSpillJoinReadFaultTypedAbort(t *testing.T) {
 		L: Select{Child: NewScan("L", ""), Pred: expr.MustParse("TRUE")},
 		R: Select{Child: NewScan("R", ""), Pred: expr.MustParse("TRUE")},
 	}
-	it, err := j.Open(ctx, in)
+	it, err := Open(ctx, j, in)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -269,7 +269,7 @@ func TestBudgetSpillJoinSkewRecursionDifferential(t *testing.T) {
 			L: Select{Child: NewScan("L", ""), Pred: expr.MustParse("TRUE")},
 			R: Select{Child: NewScan("R", ""), Pred: expr.MustParse("TRUE")},
 		}
-		it, err := j.Open(ctx, in)
+		it, err := Open(ctx, j, in)
 		if err != nil {
 			t.Fatalf("%s: open: %v", label, err)
 		}
@@ -311,7 +311,7 @@ func TestBudgetSpillJoinSkewRecursionOffAborts(t *testing.T) {
 		L: Select{Child: NewScan("L", ""), Pred: expr.MustParse("TRUE")},
 		R: Select{Child: NewScan("R", ""), Pred: expr.MustParse("TRUE")},
 	}
-	it, err := j.Open(ctx, in)
+	it, err := Open(ctx, j, in)
 	if err == nil {
 		_, err = Drain(it)
 	}
@@ -360,7 +360,7 @@ func TestBudgetSpillJoinHotKeyRecursionExhausted(t *testing.T) {
 		L: Select{Child: NewScan("L", ""), Pred: expr.MustParse("TRUE")},
 		R: Select{Child: NewScan("R", ""), Pred: expr.MustParse("TRUE")},
 	}
-	it, err := j.Open(ctx, in)
+	it, err := Open(ctx, j, in)
 	if err == nil {
 		_, err = Drain(it)
 	}
@@ -402,7 +402,7 @@ func TestChaosSpillJoinPanicLeavesNoResidue(t *testing.T) {
 			L: Select{Child: NewScan("L", ""), Pred: expr.MustParse("TRUE")},
 			R: Select{Child: NewScan("R", ""), Pred: expr.MustParse("TRUE")},
 		}
-		it, err := j.Open(budget.With(context.Background(), tr), in)
+		it, err := Open(budget.With(context.Background(), tr), j, in)
 		if err != nil {
 			o.err = err
 			return o
@@ -478,6 +478,86 @@ func TestChaosSpillJoinPanicLeavesNoResidue(t *testing.T) {
 	for _, point := range points {
 		if fired[point] == 0 {
 			t.Errorf("%s never fired — its cases are vacuous", point)
+		}
+	}
+}
+
+// Every join opened under a spill budget emits at most SpillBatchSize
+// rows per batch — there the flow keeps only the in-flight output batch
+// charged, so the batch size is what stays resident beside a loaded
+// partition pair — whether its sides fit in memory or spilled.
+func TestBudgetSpillJoinBatchesStaySmall(t *testing.T) {
+	in, _, _ := spillJoinInstance(t, 900)
+	for _, c := range []struct {
+		name    string
+		cap     int64
+		spilled bool
+	}{
+		{"in memory", 1 << 30, false},
+		{"spilled", 49152, true},
+	} {
+		ctx, tr := spillCtx(t, c.cap)
+		j := Join{Kind: FullJoin, On: expr.MustParse("L.k = R.k"),
+			L: Select{Child: NewScan("L", ""), Pred: expr.MustParse("TRUE")},
+			R: Select{Child: NewScan("R", ""), Pred: expr.MustParse("TRUE")},
+		}
+		it, err := Open(ctx, j, in)
+		if err != nil {
+			t.Fatalf("%s: open: %v", c.name, err)
+		}
+		largest := 0
+		for {
+			b, err := it.NextBatch()
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if b == nil {
+				break
+			}
+			largest = max(largest, b.Len())
+		}
+		it.Close()
+		if largest > SpillBatchSize {
+			t.Errorf("%s: a batch of %d rows, want at most %d", c.name, largest, SpillBatchSize)
+		}
+		if largest < SpillBatchSize {
+			t.Errorf("%s: largest batch %d rows — the test is vacuous", c.name, largest)
+		}
+		if got := tr.SpillParts() > 0; got != c.spilled {
+			t.Errorf("%s: spilled = %v, want %v", c.name, got, c.spilled)
+		}
+	}
+}
+
+// A base relation stays in memory (the instance pins it) while its
+// derived counterpart spills; when a spilled partition must recurse,
+// the in-memory group splits with the same depth salt as the disk
+// partition, so every key still meets its matches.
+func TestBudgetSpillJoinRecursionWithInMemorySide(t *testing.T) {
+	in, l, r := skewJoinInstance(t, 6144)
+	pred := expr.MustParse("L.k = R.k")
+	for _, kind := range []JoinKind{InnerJoin, FullJoin} {
+		label := fmt.Sprintf("%v/base-left", kind)
+		want := JoinRelations(kind, l, r, pred)
+		ctx, tr := spillCtx(t, 24576)
+		j := Join{Kind: kind, On: pred,
+			L: NewScan("L", ""),
+			R: Select{Child: NewScan("R", ""), Pred: expr.MustParse("TRUE")},
+		}
+		it, err := Open(ctx, j, in)
+		if err != nil {
+			t.Fatalf("%s: open: %v", label, err)
+		}
+		got, err := Drain(it)
+		if err != nil {
+			t.Fatalf("%s: drain: %v", label, err)
+		}
+		if tr.SpillRecursions() == 0 {
+			t.Fatalf("%s: no partition recursed — the test is vacuous", label)
+		}
+		requireSameRelation(t, label, got, want)
+		if tr.Rows() != 0 || tr.SpillBytes() != 0 {
+			t.Fatalf("%s: resident charges leaked: rows=%d spill=%d", label, tr.Rows(), tr.SpillBytes())
 		}
 	}
 }

@@ -1,157 +1,66 @@
 package algebra
 
-// This file implements the columnar (vectorized) execution core: plan
-// nodes compile to VecIterator pipelines that exchange column-major
-// relation.Batch values instead of []Tuple row batches. Scans serve the
+// The streaming operators of the columnar core. Scans serve the
 // relation's cached columnar view, Select filters with selection
 // vectors over a borrowed scratch row (no per-row allocation), Project
-// executes pure column permutations as zero-copy remaps, Distinct
-// dedups on vectorized canonical hashes, and the equi-join runs as a
-// morsel-driven partitioned hash join (vecjoin.go).
-//
-// The row-batched Iterator pipeline remains in place: it is the
-// reference implementation the differential property tests compare
-// against, and the spill tier keeps streaming row frames through it —
-// OpenVec falls back to a row→vec adapter for spill-routed joins and
-// any operator without a native columnar port, so the two cores always
-// agree batch-for-batch on content and order.
+// executes pure column permutations as zero-copy remaps, and Distinct
+// dedups on vectorized canonical hashes.
 
 import (
 	"context"
 
-	"clio/internal/budget"
 	"clio/internal/expr"
 	"clio/internal/relation"
 	"clio/internal/value"
 )
 
-// VecBatchSize is the target row count of a columnar batch. Larger than
-// the row-batch size because per-batch overheads (charges, cancellation
-// checks, virtual calls) are amortized over typed-vector loops.
-const VecBatchSize = 1024
-
-// VecIterator is a pull-based columnar stream over one operator's
-// output. NextBatch returns the next non-empty batch, or (nil, nil) at
-// end of stream; the returned batch (and any selection installed on
-// it) is valid only until the following NextBatch call, and is
-// read-only. Close releases the operator tree; it is idempotent.
-type VecIterator interface {
-	Scheme() *relation.Scheme
-	Name() string
-	NextBatch() (*relation.Batch, error)
-	Close()
-}
-
-// OpenVec compiles the node to a columnar pipeline. Operators without
-// a native columnar port (cross product, union, nested-loop and
-// spill-routed joins) run their row pipeline behind an adapter, so
-// OpenVec accepts every plan shape.
-func OpenVec(ctx context.Context, n Node, in *relation.Instance) (VecIterator, error) {
+// baseColumns returns the cached column view of a scan or a
+// materialized node, without copying; ok is false for any other node.
+func baseColumns(n Node, in *relation.Instance) (b *relation.Batch, ok bool, err error) {
 	switch x := n.(type) {
 	case Scan:
-		r, err := in.Aliased(x.Base, x.aliasOrBase())
-		if err != nil {
-			return nil, err
-		}
-		return newVecRelIter(ctx, r, r.Name), nil
+		b, err = in.AliasedColumns(x.Base, x.aliasOrBase())
+		return b, true, err
 	case Materialized:
-		return newVecRelIter(ctx, x.Rel, x.Rel.Name), nil
-	case Select:
-		child, err := OpenVec(ctx, x.Child, in)
-		if err != nil {
-			return nil, err
-		}
-		return newVecSelectIter(child, x.Pred), nil
-	case Project:
-		child, err := OpenVec(ctx, x.Child, in)
-		if err != nil {
-			return nil, err
-		}
-		return newVecProjectIter(child, x.Cols, x.Name), nil
-	case Distinct:
-		child, err := OpenVec(ctx, x.Child, in)
-		if err != nil {
-			return nil, err
-		}
-		return newVecDistinctIter(child), nil
-	case Join:
-		if !budget.FromContext(ctx).SpillEnabled() {
-			return openVecJoin(ctx, x, in)
-		}
+		return x.Rel.Columns(), true, nil
 	}
-	// Fallback: run the row pipeline and re-batch columnar.
-	it, err := n.Open(ctx, in)
-	if err != nil {
-		return nil, err
-	}
-	return &rowVecAdapter{it: it, buf: relation.NewBatch(it.Scheme())}, nil
+	return nil, false, nil
 }
 
-// CollectVec opens the node's columnar pipeline and drains it into a
-// relation (tuple storage carved batch-wise from slabs).
-func CollectVec(ctx context.Context, n Node, in *relation.Instance) (*relation.Relation, error) {
-	it, err := OpenVec(ctx, n, in)
-	if err != nil {
-		return nil, err
-	}
-	return DrainVec(it)
-}
-
-// DrainVec materializes the remainder of a columnar iterator into a
-// relation and closes it.
-func DrainVec(it VecIterator) (*relation.Relation, error) {
-	defer it.Close()
-	out := relation.New(it.Name(), it.Scheme())
-	for {
-		b, err := it.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return out, nil
-		}
-		out.AppendBatch(b)
-	}
-}
-
-// vecChildBatch materializes a join child as one columnar batch. Scans
-// and materialized nodes return the relation's cached column view
-// without copying (plus the relation itself, so a nested-loop fallback
-// can reuse it); anything else drains its columnar pipeline into an
+// childBatch materializes a join child as one columnar batch: a base
+// node's cached columns, or else its pipeline drained into an
 // accumulator batch — so a left-deep join chain passes column vectors
 // from join to join without ever converting through rows.
-func vecChildBatch(ctx context.Context, n Node, in *relation.Instance) (*relation.Batch, *relation.Relation, string, error) {
-	switch x := n.(type) {
-	case Scan:
-		r, err := in.Aliased(x.Base, x.aliasOrBase())
-		if err != nil {
-			return nil, nil, "", err
-		}
-		return r.Columns(), r, r.Name, nil
-	case Materialized:
-		return x.Rel.Columns(), x.Rel, x.Rel.Name, nil
+func childBatch(ctx context.Context, n Node, in *relation.Instance) (*relation.Batch, error) {
+	if b, ok, err := baseColumns(n, in); ok {
+		return b, err
 	}
-	it, err := OpenVec(ctx, n, in)
+	it, err := Open(ctx, n, in)
 	if err != nil {
-		return nil, nil, "", err
+		return nil, err
 	}
 	defer it.Close()
-	acc := relation.NewBatch(it.Scheme())
-	for {
-		b, err := it.NextBatch()
-		if err != nil {
-			return nil, nil, "", err
-		}
-		if b == nil {
-			return acc, nil, it.Name(), nil
-		}
-		acc.AppendBatch(b)
+	b, err := it.NextBatch()
+	if err != nil {
+		return nil, err
 	}
+	if d, ok := it.(interface{ drained() bool }); ok && b != nil && d.drained() {
+		// A join's only batch: nothing overwrites it once the stream
+		// has ended, so it is the child's batch as it stands.
+		return b, nil
+	}
+	acc := relation.NewBatch(it.Scheme())
+	for b != nil {
+		acc.AppendBatch(b)
+		if b, err = it.NextBatch(); err != nil {
+			return nil, err
+		}
+	}
+	return acc, nil
 }
 
-// vecRelIter streams a materialized relation's cached columnar view in
-// windows.
-type vecRelIter struct {
+// scanIter streams a relation's cached columnar view in windows.
+type scanIter struct {
 	ctx  context.Context
 	b    *relation.Batch
 	name string
@@ -160,17 +69,17 @@ type vecRelIter struct {
 	op   opStats
 }
 
-func newVecRelIter(ctx context.Context, r *relation.Relation, name string) *vecRelIter {
+func newScanIter(ctx context.Context, b *relation.Batch, name string) *scanIter {
 	ctx, span := openOp(ctx, "op.scan")
-	span.SetStr("rel", r.Name)
-	return &vecRelIter{ctx: ctx, b: r.Columns(), name: name, op: opStats{span: span}}
+	span.SetStr("rel", name)
+	return &scanIter{ctx: ctx, b: b, name: name, op: opStats{span: span}}
 }
 
-func (it *vecRelIter) Scheme() *relation.Scheme { return it.b.Scheme() }
-func (it *vecRelIter) Name() string             { return it.name }
-func (it *vecRelIter) Close()                   { it.op.close() }
+func (it *scanIter) Scheme() *relation.Scheme { return it.b.Scheme() }
+func (it *scanIter) Name() string             { return it.name }
+func (it *scanIter) Close()                   { it.op.close() }
 
-func (it *vecRelIter) NextBatch() (*relation.Batch, error) {
+func (it *scanIter) NextBatch() (*relation.Batch, error) {
 	if err := it.ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -178,48 +87,50 @@ func (it *vecRelIter) NextBatch() (*relation.Batch, error) {
 	if it.pos >= n {
 		return nil, nil
 	}
-	if it.pos == 0 && n <= VecBatchSize {
+	if it.pos == 0 && n <= BatchSize {
 		// Whole relation in one window: serve the cached view directly.
 		it.pos = n
-		it.op.rows += int64(n)
-		it.op.batches++
+		it.op.observe(n)
 		return it.b, nil
 	}
-	end := min(it.pos+VecBatchSize, n)
+	end := min(it.pos+BatchSize, n)
 	it.sel = it.sel[:0]
 	for i := it.pos; i < end; i++ {
 		it.sel = append(it.sel, int32(i))
 	}
 	it.pos = end
-	it.op.rows += int64(len(it.sel))
-	it.op.batches++
+	it.op.observe(len(it.sel))
 	return it.b.View(it.sel), nil
 }
 
-// vecSelectIter filters child batches under 3VL by building a
-// selection vector; rows are evaluated through a borrowed scratch
-// tuple, so filtering allocates nothing per row.
-type vecSelectIter struct {
-	child   VecIterator
+// selectIter filters child batches under 3VL by building a selection
+// vector; rows are evaluated through a borrowed scratch tuple, so
+// filtering allocates nothing per row.
+type selectIter struct {
+	child   Iterator
 	pred    expr.Expr
 	scratch []value.Value
 	sel     []int32
 	op      opStats
 }
 
-func newVecSelectIter(child VecIterator, pred expr.Expr) *vecSelectIter {
-	return &vecSelectIter{
+func newSelectIter(child Iterator, pred expr.Expr, op opStats) *selectIter {
+	return &selectIter{
 		child:   child,
 		pred:    pred,
 		scratch: make([]value.Value, child.Scheme().Arity()),
+		op:      op,
 	}
 }
 
-func (it *vecSelectIter) Scheme() *relation.Scheme { return it.child.Scheme() }
-func (it *vecSelectIter) Name() string             { return it.child.Name() }
-func (it *vecSelectIter) Close()                   { it.child.Close() }
+func (it *selectIter) Scheme() *relation.Scheme { return it.child.Scheme() }
+func (it *selectIter) Name() string             { return it.child.Name() }
+func (it *selectIter) Close() {
+	it.child.Close()
+	it.op.close()
+}
 
-func (it *vecSelectIter) NextBatch() (*relation.Batch, error) {
+func (it *selectIter) NextBatch() (*relation.Batch, error) {
 	for {
 		b, err := it.child.NextBatch()
 		if err != nil {
@@ -237,19 +148,18 @@ func (it *vecSelectIter) NextBatch() (*relation.Batch, error) {
 			}
 		}
 		if len(it.sel) > 0 {
-			it.op.rows += int64(len(it.sel))
-			it.op.batches++
+			it.op.observe(len(it.sel))
 			return b.View(it.sel), nil
 		}
 	}
 }
 
-// vecProjectIter maps child batches through the output expressions.
-// When every output column is a plain column reference the projection
-// is a zero-copy remap of the child's vectors; otherwise expressions
+// projectIter maps child batches through the output expressions. When
+// every output column is a plain column reference the projection is a
+// zero-copy remap of the child's vectors; otherwise expressions
 // evaluate row-wise into a rebuilt batch.
-type vecProjectIter struct {
-	child   VecIterator
+type projectIter struct {
+	child   Iterator
 	cols    []OutputCol
 	name    string
 	s       *relation.Scheme
@@ -259,16 +169,17 @@ type vecProjectIter struct {
 	op      opStats
 }
 
-func newVecProjectIter(child VecIterator, cols []OutputCol, name string) *vecProjectIter {
+func newProjectIter(child Iterator, cols []OutputCol, name string, op opStats) *projectIter {
 	names := make([]string, len(cols))
 	for i, col := range cols {
 		names[i] = col.Name
 	}
-	it := &vecProjectIter{
+	it := &projectIter{
 		child: child,
 		cols:  cols,
 		name:  name,
 		s:     relation.NewScheme(names...),
+		op:    op,
 	}
 	perm := make([]int, len(cols))
 	pure := true
@@ -294,17 +205,19 @@ func newVecProjectIter(child VecIterator, cols []OutputCol, name string) *vecPro
 	return it
 }
 
-func (it *vecProjectIter) Scheme() *relation.Scheme { return it.s }
-func (it *vecProjectIter) Name() string             { return it.name }
-func (it *vecProjectIter) Close()                   { it.child.Close() }
+func (it *projectIter) Scheme() *relation.Scheme { return it.s }
+func (it *projectIter) Name() string             { return it.name }
+func (it *projectIter) Close() {
+	it.child.Close()
+	it.op.close()
+}
 
-func (it *vecProjectIter) NextBatch() (*relation.Batch, error) {
+func (it *projectIter) NextBatch() (*relation.Batch, error) {
 	b, err := it.child.NextBatch()
 	if err != nil || b == nil {
 		return nil, err
 	}
-	it.op.rows += int64(b.Len())
-	it.op.batches++
+	it.op.observe(b.Len())
 	if it.perm != nil {
 		return b.Remapped(it.s, it.perm), nil
 	}
@@ -321,10 +234,10 @@ func (it *vecProjectIter) NextBatch() (*relation.Batch, error) {
 	return it.out, nil
 }
 
-// vecDedup dedups rows across batches on vectorized canonical hashes,
+// dedup dedups rows across batches on vectorized canonical hashes,
 // retaining accepted rows in an accumulator batch for value-wise
 // confirmation (bucket+confirm, like relation.Distinct).
-type vecDedup struct {
+type dedup struct {
 	acc  *relation.Batch
 	seen map[uint64]int32
 	over map[uint64][]int32
@@ -332,13 +245,13 @@ type vecDedup struct {
 	sel  []int32
 }
 
-func newVecDedup(s *relation.Scheme) *vecDedup {
-	return &vecDedup{acc: relation.NewBatch(s), seen: map[uint64]int32{}}
+func newDedup(s *relation.Scheme) *dedup {
+	return &dedup{acc: relation.NewBatch(s), seen: map[uint64]int32{}}
 }
 
 // filter returns the physical row ids of b whose rows are new, in
 // order, and retains them. The returned slice is reused across calls.
-func (d *vecDedup) filter(b *relation.Batch) []int32 {
+func (d *dedup) filter(b *relation.Batch) []int32 {
 	n := b.Len()
 	if cap(d.hbuf) < n {
 		d.hbuf = make([]uint64, n)
@@ -375,23 +288,26 @@ func (d *vecDedup) filter(b *relation.Batch) []int32 {
 	return d.sel
 }
 
-// vecDistinctIter streams the child with duplicates removed, keeping
+// distinctIter streams the child with duplicates removed, keeping
 // first occurrences.
-type vecDistinctIter struct {
-	child VecIterator
-	d     *vecDedup
+type distinctIter struct {
+	child Iterator
+	d     *dedup
 	op    opStats
 }
 
-func newVecDistinctIter(child VecIterator) *vecDistinctIter {
-	return &vecDistinctIter{child: child, d: newVecDedup(child.Scheme())}
+func newDistinctIter(child Iterator, op opStats) *distinctIter {
+	return &distinctIter{child: child, d: newDedup(child.Scheme()), op: op}
 }
 
-func (it *vecDistinctIter) Scheme() *relation.Scheme { return it.child.Scheme() }
-func (it *vecDistinctIter) Name() string             { return it.child.Name() }
-func (it *vecDistinctIter) Close()                   { it.child.Close() }
+func (it *distinctIter) Scheme() *relation.Scheme { return it.child.Scheme() }
+func (it *distinctIter) Name() string             { return it.child.Name() }
+func (it *distinctIter) Close() {
+	it.child.Close()
+	it.op.close()
+}
 
-func (it *vecDistinctIter) NextBatch() (*relation.Batch, error) {
+func (it *distinctIter) NextBatch() (*relation.Batch, error) {
 	for {
 		b, err := it.child.NextBatch()
 		if err != nil {
@@ -402,58 +318,8 @@ func (it *vecDistinctIter) NextBatch() (*relation.Batch, error) {
 		}
 		sel := it.d.filter(b)
 		if len(sel) > 0 {
-			it.op.rows += int64(len(sel))
-			it.op.batches++
+			it.op.observe(len(sel))
 			return b.View(sel), nil
 		}
 	}
-}
-
-// rowVecAdapter re-batches a row iterator's output columnar — the
-// compatibility shim that lets spill-routed joins and row-only
-// operators participate in a columnar pipeline.
-type rowVecAdapter struct {
-	it  Iterator
-	buf *relation.Batch
-}
-
-func (a *rowVecAdapter) Scheme() *relation.Scheme { return a.it.Scheme() }
-func (a *rowVecAdapter) Name() string             { return a.it.Name() }
-func (a *rowVecAdapter) Close()                   { a.it.Close() }
-
-func (a *rowVecAdapter) NextBatch() (*relation.Batch, error) {
-	batch, err := a.it.Next()
-	if err != nil || batch == nil {
-		return nil, err
-	}
-	a.buf.Reset()
-	for _, t := range batch {
-		a.buf.AppendTuple(t)
-	}
-	return a.buf, nil
-}
-
-// vecToRow materializes a columnar iterator's batches as row batches —
-// the reverse shim, used when a row-only consumer sits above a
-// columnar pipeline.
-type vecToRow struct {
-	it  VecIterator
-	buf []relation.Tuple
-}
-
-func (a *vecToRow) Scheme() *relation.Scheme { return a.it.Scheme() }
-func (a *vecToRow) Name() string             { return a.it.Name() }
-func (a *vecToRow) Close()                   { a.it.Close() }
-
-func (a *vecToRow) Next() ([]relation.Tuple, error) {
-	b, err := a.it.NextBatch()
-	if err != nil || b == nil {
-		return nil, err
-	}
-	a.buf = a.buf[:0]
-	n := b.Len()
-	for i := 0; i < n; i++ {
-		a.buf = append(a.buf, b.Tuple(i))
-	}
-	return a.buf, nil
 }

@@ -34,12 +34,12 @@ func randRel(rng *rand.Rand, name string, cols []string, rows int) *relation.Rel
 	return r
 }
 
-// drainKeys collects the ordered tuple keys of an iterator's output.
+// iterKeys drains an iterator and returns its tuple keys in order.
 func iterKeys(t *testing.T, it Iterator) []string {
 	t.Helper()
 	out, err := Drain(it)
 	if err != nil {
-		t.Fatalf("row drain: %v", err)
+		t.Fatalf("drain: %v", err)
 	}
 	keys := make([]string, out.Len())
 	for i := 0; i < out.Len(); i++ {
@@ -48,24 +48,36 @@ func iterKeys(t *testing.T, it Iterator) []string {
 	return keys
 }
 
-func vecKeys(t *testing.T, it VecIterator) []string {
+// relKeys returns a relation's tuple keys in order.
+func relKeys(r *relation.Relation) []string {
+	keys := make([]string, r.Len())
+	for i := 0; i < r.Len(); i++ {
+		keys[i] = r.At(i).Key()
+	}
+	return keys
+}
+
+// requireSameKeys fails unless got and want hold the same keys in the
+// same order.
+func requireSameKeys(t *testing.T, label string, got, want []string) {
 	t.Helper()
-	out, err := DrainVec(it)
-	if err != nil {
-		t.Fatalf("vec drain: %v", err)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, reference %d", label, len(got), len(want))
 	}
-	keys := make([]string, out.Len())
-	for i := 0; i < out.Len(); i++ {
-		keys[i] = out.At(i).Key()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s row %d: %q, reference %q", label, i, got[i], want[i])
+		}
 	}
-	return keys
 }
 
-// TestVecRowEquivalence is the differential property test of the
-// columnar core: for randomized inputs (NULL keys, duplicate keys,
-// mixed-kind columns) and every join kind, the columnar pipeline must
-// produce exactly the row pipeline's output — same tuples, same order.
-func TestVecRowEquivalence(t *testing.T) {
+// TestVecPipelineMatchesReference is the differential property test of
+// the columnar operator set: for randomized inputs (NULL keys,
+// duplicate keys, mixed-kind columns) and every join kind, a join
+// under a select, a projection and a distinct must produce the rows of
+// the same operators applied one by one to the nested-loop reference
+// join, as multisets.
+func TestVecPipelineMatchesReference(t *testing.T) {
 	kinds := []JoinKind{InnerJoin, LeftJoin, RightJoin, FullJoin}
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -76,46 +88,46 @@ func TestVecRowEquivalence(t *testing.T) {
 		in.MustAdd(r)
 
 		on := expr.Equals("L.k", "R.k")
+		pred := expr.MustParse("L.a < 4")
 		for _, kind := range kinds {
 			var n Node = Join{Kind: kind, L: NewScan("L", ""), R: NewScan("R", ""), On: on}
-			// Layer a select, a projection, and a distinct on top so the
-			// whole columnar operator set is exercised in one pipeline.
-			n = Select{Child: n, Pred: expr.MustParse("L.a < 4")}
+			n = Select{Child: n, Pred: pred}
 			n = Project{Name: "P", Child: n, Cols: []OutputCol{
 				{Name: "L.k", Expr: expr.Col{Name: "L.k"}},
 				{Name: "R.b", Expr: expr.Col{Name: "R.b"}},
 			}}
 			n = Distinct{Child: n}
+			it, err := Open(context.Background(), n, in)
+			if err != nil {
+				t.Fatalf("seed %d kind %v: open: %v", seed, kind, err)
+			}
+			got := sorted(iterKeys(t, it))
 
-			rowIt, err := n.Open(context.Background(), in)
-			if err != nil {
-				t.Fatalf("seed %d kind %v: row open: %v", seed, kind, err)
-			}
-			want := iterKeys(t, rowIt)
-			vecIt, err := OpenVec(context.Background(), n, in)
-			if err != nil {
-				t.Fatalf("seed %d kind %v: vec open: %v", seed, kind, err)
-			}
-			got := vecKeys(t, vecIt)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d kind %v: vec %d rows, row %d rows", seed, kind, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d kind %v row %d: vec %q, row %q", seed, kind, i, got[i], want[i])
+			ps := relation.NewScheme("L.k", "R.b")
+			seen := map[string]bool{}
+			var want []string
+			for _, tu := range nestedLoopReference(kind, l, r, on).Tuples() {
+				if expr.Truth(pred, tu) != value.True {
+					continue
+				}
+				k := relation.NewTuple(ps, tu.Get("L.k"), tu.Get("R.b")).Key()
+				if !seen[k] {
+					seen[k] = true
+					want = append(want, k)
 				}
 			}
+			requireSameKeys(t, fmt.Sprintf("seed %d kind %v", seed, kind), got, sorted(want))
 		}
 	}
 }
 
 // TestVecJoinParallelWorkers forces the multi-worker morsel path (which
 // a single-core host would otherwise never take) and checks it against
-// the row pipeline; under -race this also proves the partitioned build
-// and morsel-aligned matched bitmaps are data-race free.
+// the nested-loop reference and against the one-worker join, whose
+// output order it must keep; under -race this also proves the
+// partitioned build and morsel-aligned matched bitmaps are data-race
+// free.
 func TestVecJoinParallelWorkers(t *testing.T) {
-	vecJoinWorkers = 4
-	defer func() { vecJoinWorkers = 0 }()
 	rng := rand.New(rand.NewSource(99))
 	l := randRel(rng, "L", []string{"L.k", "L.a"}, 3000)
 	r := randRel(rng, "R", []string{"R.k", "R.b"}, 37)
@@ -125,29 +137,28 @@ func TestVecJoinParallelWorkers(t *testing.T) {
 	on := expr.Equals("L.k", "R.k")
 	for _, kind := range []JoinKind{InnerJoin, FullJoin} {
 		n := Join{Kind: kind, L: NewScan("L", ""), R: NewScan("R", ""), On: on}
-		rowIt, err := n.Open(context.Background(), in)
+		joinWorkers = 1
+		one, err := Open(context.Background(), n, in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := iterKeys(t, rowIt)
-		vecIt, err := OpenVec(context.Background(), n, in)
+		want := iterKeys(t, one)
+		joinWorkers = 4
+		par, err := Open(context.Background(), n, in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := vecKeys(t, vecIt)
-		if len(got) != len(want) {
-			t.Fatalf("kind %v: vec %d rows, row %d", kind, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("kind %v row %d mismatch", kind, i)
-			}
-		}
+		got := iterKeys(t, par)
+		joinWorkers = 0
+		label := fmt.Sprintf("kind %v", kind)
+		requireSameKeys(t, label, got, want)
+		requireSameKeys(t, label, sorted(got), sorted(relKeys(nestedLoopReference(kind, l, r, on))))
 	}
 }
 
 // TestVecJoinResidual checks the hash path with a residual conjunct and
-// the nested-loop fallback (no equality conjunct at all).
+// the nested-loop path (no equality conjunct at all) against the
+// nested-loop reference, whose left-major order the nested loop keeps.
 func TestVecJoinResidual(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	l := randRel(rng, "L", []string{"L.k", "L.a"}, 25)
@@ -164,24 +175,53 @@ func TestVecJoinResidual(t *testing.T) {
 	for _, on := range []expr.Expr{residual, noEq} {
 		for _, kind := range []JoinKind{InnerJoin, LeftJoin, RightJoin, FullJoin} {
 			n := Join{Kind: kind, L: NewScan("L", ""), R: NewScan("R", ""), On: on}
-			rowIt, err := n.Open(context.Background(), in)
+			it, err := Open(context.Background(), n, in)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := iterKeys(t, rowIt)
-			vecIt, err := OpenVec(context.Background(), n, in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := vecKeys(t, vecIt)
-			if len(got) != len(want) {
-				t.Fatalf("kind %v: vec %d rows, row %d", kind, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("kind %v row %d: vec %q row %q", kind, i, got[i], want[i])
-				}
+			got := iterKeys(t, it)
+			want := relKeys(nestedLoopReference(kind, l, r, on))
+			label := fmt.Sprintf("kind %v on %v", kind, on)
+			if on == noEq {
+				requireSameKeys(t, label, got, want)
+			} else {
+				requireSameKeys(t, label, sorted(got), sorted(want))
 			}
 		}
+	}
+}
+
+// A join child whose output spans several batches must reach its
+// parent whole: a chain L ⋈ R ⋈ S over 1:1 keys whose first join
+// emits more than one batch keeps every row.
+func TestJoinChainChildSpansBatches(t *testing.T) {
+	const n = BatchSize + BatchSize/2
+	in := relation.NewInstance(nil)
+	for _, name := range []string{"L", "R", "S"} {
+		r := relation.New(name, relation.NewScheme(name+".k", name+".v"))
+		for i := 0; i < n; i++ {
+			r.AddValues(value.Int(int64(i)), value.Int(int64(i%7)))
+		}
+		in.MustAdd(r)
+	}
+	plan := Join{Kind: InnerJoin,
+		L:  Join{Kind: InnerJoin, L: NewScan("L", ""), R: NewScan("R", ""), On: expr.Equals("L.k", "R.k")},
+		R:  NewScan("S", ""),
+		On: expr.Equals("R.k", "S.k"),
+	}
+	got, err := Collect(context.Background(), plan, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != n {
+		t.Fatalf("chain join kept %d rows, want %d", got.Len(), n)
+	}
+	seen := make([]bool, n)
+	for _, tu := range got.Tuples() {
+		k := tu.Get("L.k").IntVal()
+		if tu.Get("R.k").IntVal() != k || tu.Get("S.k").IntVal() != k || seen[k] {
+			t.Fatalf("wrong or repeated row %v", tu)
+		}
+		seen[k] = true
 	}
 }

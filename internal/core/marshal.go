@@ -83,7 +83,12 @@ func UnmarshalMapping(data []byte) (*Mapping, error) {
 		return nil, fmt.Errorf("core: mapping JSON missing target")
 	}
 	attrs := make([]schema.Attribute, len(doc.Target.Attrs))
+	seen := map[string]bool{}
 	for i, a := range doc.Target.Attrs {
+		if seen[a] {
+			return nil, fmt.Errorf("core: mapping JSON repeats target attribute %q", a)
+		}
+		seen[a] = true
 		attrs[i] = schema.Attribute{Name: a}
 	}
 	m := NewMapping(doc.Name, schema.NewRelation(doc.Target.Name, attrs...))

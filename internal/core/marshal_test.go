@@ -81,6 +81,8 @@ func TestUnmarshalErrors(t *testing.T) {
 		`{"target":{"name":"T","attrs":["a"]},"correspondences":["no arrow"]}`,
 		`{"target":{"name":"T","attrs":["a"]},"sourceFilters":["(("]}`,
 		`{"target":{"name":"T","attrs":["a"]},"targetFilters":["(("]}`,
+		// A repeated target attribute cannot form a target scheme.
+		`{"target":{"name":"T","attrs":["a","a"]}}`,
 	}
 	for i, s := range bad {
 		if _, err := UnmarshalMapping([]byte(s)); err == nil {

@@ -1,12 +1,10 @@
 package csvio
 
 // Streaming CSV ingest. Stream parses a CSV incrementally and yields
-// tuples in bounded batches, satisfying the algebra.Iterator shape
-// (Scheme/Name/Next/Close) structurally — csvio stays below algebra in
-// the import graph, and a CSV source can participate in an iterator
-// pipeline without the whole file being materialized first.
-// ReadRelation is a thin drain over a Stream, so the two paths cannot
-// diverge on parsing or kind-inference semantics.
+// tuples in bounded batches, so a consumer can meter the ingest
+// without the whole file being materialized first. ReadRelation is a
+// thin drain over a Stream, so the two paths cannot diverge on parsing
+// or kind-inference semantics.
 
 import (
 	"encoding/csv"
@@ -20,8 +18,7 @@ import (
 	"clio/internal/value"
 )
 
-// streamBatch bounds the tuples returned per Next call (matches the
-// algebra layer's batch size).
+// streamBatch bounds the tuples returned per Next call.
 const streamBatch = 64
 
 // Stream reads one CSV relation incrementally. The scheme is available

@@ -67,14 +67,19 @@ var errDeltaDegrade = errors.New("fd: delta application degraded")
 type Materialized struct {
 	scheme  *relation.Scheme
 	subsets [][]string
+	shapes  []planShape // F(J)'s join skeleton, per subset
 	set     *relation.SubsumeSet
 	canon   string
+	// matched and matchedVer memoize the last graph Matches accepted,
+	// so an unchanged graph is not re-rendered on every edit.
+	matched    *graph.QueryGraph
+	matchedVer uint64
 }
 
 // NewMaterialized computes D(G) from scratch into delta-maintainable
-// form. It enumerates the same subgraphs on the row pipeline and
-// charges the same budget, association by association, as
-// FullDisjunction; only the accumulator differs. The padded
+// form. It enumerates the same subgraphs and charges the same budget,
+// association by association, as FullDisjunction; only the
+// accumulator differs. The padded
 // associations are collected and the subsumption state is built from
 // them in one pass (relation.NewSubsumeSetFrom), which yields exactly
 // the state inserting them one by one would.
@@ -99,26 +104,29 @@ func NewMaterialized(ctx context.Context, g *graph.QueryGraph, in *relation.Inst
 		assocs = append(assocs, p)
 		return nil
 	}
-	for _, sub := range subsets {
+	shapes := make([]planShape, len(subsets))
+	for i, sub := range subsets {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		if err := fault.Inject("fd.materialize"); err != nil {
 			return nil, err
 		}
-		plan, err := associationPlan(g, sub)
-		if err != nil {
+		if shapes[i], err = spanningShape(g, sub); err != nil {
 			return nil, err
 		}
-		if err := drain(ctx, plan, in, s, tr, collect); err != nil {
+		if err := drain(ctx, shapes[i].plan(nil, nil), in, s, tr, collect); err != nil {
 			return nil, err
 		}
 	}
 	m := &Materialized{
-		scheme:  s,
-		subsets: subsets,
-		set:     relation.NewSubsumeSetFrom(s, assocs),
-		canon:   canonGraph(g),
+		scheme:     s,
+		subsets:    subsets,
+		shapes:     shapes,
+		set:        relation.NewSubsumeSetFrom(s, assocs),
+		canon:      canonGraph(g),
+		matched:    g,
+		matchedVer: g.Version(),
 	}
 	span.SetInt("tuples", int64(m.set.Len()))
 	return m, nil
@@ -127,7 +135,17 @@ func NewMaterialized(ctx context.Context, g *graph.QueryGraph, in *relation.Inst
 // Matches reports whether the materialization was built for a graph
 // canonically equal to g (same nodes, bases, and edges).
 func (m *Materialized) Matches(g *graph.QueryGraph) bool {
-	return m != nil && m.canon == canonGraph(g)
+	if m == nil {
+		return false
+	}
+	if m.matched == g && m.matchedVer == g.Version() {
+		return true
+	}
+	if m.canon != canonGraph(g) {
+		return false
+	}
+	m.matched, m.matchedVer = g, g.Version()
+	return true
 }
 
 // Rel renders the current D(G), sorted by canonical tuple key. The
@@ -141,25 +159,26 @@ func (m *Materialized) Rel() *relation.Relation {
 // drain runs plan to exhaustion, padding every output association to
 // scheme s, charging the tracker, and handing it to emit.
 func drain(ctx context.Context, plan algebra.Node, in *relation.Instance, s *relation.Scheme, tr *budget.Tracker, emit func(relation.Tuple) error) error {
-	it, err := plan.Open(ctx, in)
+	it, err := algebra.Open(ctx, plan, in)
 	if err != nil {
 		return err
 	}
 	defer it.Close()
+	perm := relation.PadPerm(it.Scheme(), s)
 	for {
-		batch, err := it.Next()
+		b, err := it.NextBatch()
 		if err != nil {
 			return err
 		}
-		if batch == nil {
+		if b == nil {
 			return nil
 		}
-		for _, t := range batch {
-			p := t.PadTo(s)
-			if err := tr.Charge(1, p.ApproxBytes()); err != nil {
+		padded := b.Remapped(s, perm)
+		for i, n := 0, padded.Len(); i < n; i++ {
+			if err := tr.Charge(1, padded.ApproxBytesRow(i)); err != nil {
 				return err
 			}
-			if err := emit(p); err != nil {
+			if err := emit(padded.Tuple(i)); err != nil {
 				return err
 			}
 		}
@@ -200,7 +219,7 @@ func (m *Materialized) ApplyRow(ctx context.Context, g *graph.QueryGraph, in *re
 		}
 		return nil
 	}
-	for _, sub := range m.subsets {
+	for si, sub := range m.subsets {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -239,11 +258,7 @@ func (m *Materialized) ApplyRow(ctx context.Context, g *graph.QueryGraph, in *re
 				// post-delete base — exactly the binding the delete
 				// decomposition needs.
 			}
-			plan, err := associationPlanWith(g, sub, bind)
-			if err != nil {
-				return err
-			}
-			if err := drain(ctx, plan, in, m.scheme, tr, emit); err != nil {
+			if err := drain(ctx, m.shapes[si].plan(nil, bind), in, m.scheme, tr, emit); err != nil {
 				return err
 			}
 		}

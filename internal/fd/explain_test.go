@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"clio/internal/expr"
 	"clio/internal/fd"
 	"clio/internal/obs"
 	"clio/internal/paperdb"
@@ -95,4 +96,49 @@ func TestExplainFigure8RowsMatchExecution(t *testing.T) {
 	if res3.Cache != "hit" {
 		t.Errorf("explain did not warm the cache: %q, want hit", res3.Cache)
 	}
+
+	// Cyclic case: closing the triangle Children—Parents—PhoneDir puts a
+	// residual Select on the full subset's plan, and its operator span
+	// must be reported like every other operator.
+	cyc := m.Graph.Clone()
+	cyc.MustAddEdge("Children", "PhoneDir", expr.Equals("Children.mid", "PhoneDir.ID"))
+	fd.InvalidateCache()
+	ctx, span = obs.StartSpan(context.Background(), "test.ref.cyclic")
+	if _, err := fd.Compute(ctx, cyc, in); err != nil {
+		t.Fatal(err)
+	}
+	span.End()
+	roots = col.Roots()
+	ref := roots[len(roots)-1]
+	if rows, ok := spanRows(ref, "op.select"); !ok || rows == 0 {
+		t.Fatalf("traced cyclic Compute reported op.select rows %d (found %v), want some", rows, ok)
+	}
+	cres, err := fd.ExplainCompute(context.Background(), cyc, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cres.Algo != "subgraph" {
+		t.Errorf("cyclic algo = %q, want subgraph", cres.Algo)
+	}
+	if _, ok := spanRows(cres.Root, "op.select"); !ok {
+		t.Error("cyclic explain shows no op.select")
+	}
+	if got, want := sumOpRows(cres.Root), sumOpRows(ref); got != want {
+		t.Errorf("cyclic explain operator rows sum = %d, want %d", got, want)
+	}
+}
+
+// spanRows sums the "rows" attributes of the spans of that name in the
+// tree; ok reports whether there is any such span.
+func spanRows(s *obs.SpanData, name string) (rows int64, ok bool) {
+	if s.Name == name {
+		ok = true
+		rows, _ = obs.AttrMap(s)["rows"].(int64)
+	}
+	for _, c := range s.Children {
+		r, found := spanRows(c, name)
+		rows += r
+		ok = ok || found
+	}
+	return rows, ok
 }

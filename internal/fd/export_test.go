@@ -24,11 +24,12 @@ func NewMaterializedByInsert(ctx context.Context, g *graph.QueryGraph, in *relat
 		return nil
 	}
 	for _, sub := range m.subsets {
-		plan, err := associationPlan(g, sub)
+		shape, err := spanningShape(g, sub)
 		if err != nil {
 			return nil, err
 		}
-		if err := drain(ctx, plan, in, s, tr, insert); err != nil {
+		m.shapes = append(m.shapes, shape)
+		if err := drain(ctx, shape.plan(nil, nil), in, s, tr, insert); err != nil {
 			return nil, err
 		}
 	}

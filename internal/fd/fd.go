@@ -122,21 +122,11 @@ func Tag(coverage []string, abbrev map[string]string) string {
 // subgraph: inner hash joins along a spanning order, with the cycle
 // edges applied as a residual selection.
 func associationPlan(g *graph.QueryGraph, subset []string) (algebra.Node, error) {
-	return associationPlanWith(g, subset, nil)
-}
-
-// associationPlanWith is associationPlan with per-node source
-// overrides: a node whose name appears in bind reads from the bound
-// algebra node instead of a base-relation scan. The delta planner uses
-// this to substitute singleton-delta and pre-mutation-prefix relations
-// into individual occurrences of an edited base.
-func associationPlanWith(g *graph.QueryGraph, subset []string, bind map[string]algebra.Node) (algebra.Node, error) {
-	j := g.Induced(subset)
-	order, treeEdges, ok := j.SpanningTreeOrder()
-	if !ok {
-		return nil, fmt.Errorf("fd: subset %v does not induce a connected subgraph", subset)
+	shape, err := spanningShape(g, subset)
+	if err != nil {
+		return nil, err
 	}
-	return assemblePlan(j, order, treeEdges, nil, bind), nil
+	return shape.plan(nil, nil), nil
 }
 
 // associationPlanCost compiles F(J) like associationPlan but lets the
@@ -150,49 +140,81 @@ func associationPlanCost(ctx context.Context, g *graph.QueryGraph, subset []stri
 	j := g.Induced(subset)
 	po, ok := chooseJoinOrder(j, in, false)
 	if !ok {
-		return associationPlanWith(g, subset, nil)
+		return associationPlan(g, subset)
 	}
 	cPlannerPlans.Inc()
 	if def, _, ok := j.SpanningTreeOrder(); ok && !sameOrder(po.order, def) {
 		cPlannerReordered.Inc()
 	}
 	recordPlan(ctx, subset, po)
-	return assemblePlan(j, po.order, po.edges, po.est, nil), nil
+	return newPlanShape(j, po.order, po.edges).plan(po.est, nil), nil
 }
 
-// assemblePlan builds the inner-join chain for a connected attachment
-// order over the induced subgraph j: attach[i] joins order[i] onto the
-// prefix (attach[0] is unused), est carries the planner's per-step
-// output estimates (nil = unplanned), and every edge not consumed as a
-// join becomes a residual selection (the cycle edges).
-func assemblePlan(j *graph.QueryGraph, order []string, attach []graph.Edge, est []int64, bind map[string]algebra.Node) algebra.Node {
-	source := func(name string) algebra.Node {
-		if b, ok := bind[name]; ok {
-			return b
-		}
-		n, _ := j.Node(name)
-		return algebra.NewScan(n.Base, n.Name)
+// planShape is the join skeleton of F(J) over the induced subgraph j:
+// a connected attachment order, the edge joining each node onto the
+// prefix (attach[0] is unused), and the conjunction of the edges no
+// join consumes (the cycle edges; nil for a tree).
+type planShape struct {
+	j        *graph.QueryGraph
+	order    []string
+	attach   []graph.Edge
+	residual expr.Expr
+}
+
+// spanningShape is the shape of F(J) for the subgraph of g induced by
+// subset along its spanning-tree order.
+func spanningShape(g *graph.QueryGraph, subset []string) (planShape, error) {
+	j := g.Induced(subset)
+	order, treeEdges, ok := j.SpanningTreeOrder()
+	if !ok {
+		return planShape{}, fmt.Errorf("fd: subset %v does not induce a connected subgraph", subset)
 	}
-	node := source(order[0])
+	return newPlanShape(j, order, treeEdges), nil
+}
+
+// newPlanShape derives the residual of an attachment order over j.
+func newPlanShape(j *graph.QueryGraph, order []string, attach []graph.Edge) planShape {
 	used := map[string]bool{}
-	for i := 1; i < len(order); i++ {
-		e := attach[i]
+	for _, e := range attach[1:] {
 		used[edgeKey(e)] = true
-		var er int64
-		if est != nil {
-			er = est[i]
-		}
-		node = algebra.Join{Kind: algebra.InnerJoin, L: node, R: source(order[i]), On: e.Pred, EstRows: er}
 	}
-	// Residual (cycle) edges.
 	var residual []expr.Expr
 	for _, e := range j.Edges() {
 		if !used[edgeKey(e)] {
 			residual = append(residual, e.Pred)
 		}
 	}
+	shape := planShape{j: j, order: order, attach: attach}
 	if len(residual) > 0 {
-		node = algebra.Select{Child: node, Pred: expr.And(residual...)}
+		shape.residual = expr.And(residual...)
+	}
+	return shape
+}
+
+// plan builds the inner-join chain of the shape: est carries the
+// planner's per-step output estimates (nil = unplanned), and a node
+// whose name appears in bind reads from the bound algebra node instead
+// of a base-relation scan — how the delta planner substitutes
+// singleton-delta and pre-mutation-prefix relations into individual
+// occurrences of an edited base.
+func (p planShape) plan(est []int64, bind map[string]algebra.Node) algebra.Node {
+	source := func(name string) algebra.Node {
+		if b, ok := bind[name]; ok {
+			return b
+		}
+		n, _ := p.j.Node(name)
+		return algebra.NewScan(n.Base, n.Name)
+	}
+	node := source(p.order[0])
+	for i := 1; i < len(p.order); i++ {
+		var er int64
+		if est != nil {
+			er = est[i]
+		}
+		node = algebra.Join{Kind: algebra.InnerJoin, L: node, R: source(p.order[i]), On: p.attach[i].Pred, EstRows: er}
+	}
+	if p.residual != nil {
+		node = algebra.Select{Child: node, Pred: p.residual}
 	}
 	return node
 }
@@ -260,10 +282,6 @@ func fullDisjunction(ctx context.Context, g *graph.QueryGraph, in *relation.Inst
 	subsets := g.ConnectedSubsets()
 	span.SetInt("subsets", int64(len(subsets)))
 	cSubsets.Add(int64(len(subsets)))
-	// The columnar pipeline serves the in-memory tier; the spill tier
-	// keeps the row pipeline, whose Grace join and frame formats are
-	// byte-identity-critical.
-	vec := !budget.FromContext(ctx).SpillEnabled()
 	sink := newDGSink(ctx, budget.FromContext(ctx), s)
 	defer abortOnPanic(sink)
 	for _, sub := range subsets {
@@ -278,26 +296,9 @@ func fullDisjunction(ctx context.Context, g *graph.QueryGraph, in *relation.Inst
 			sink.abort()
 			return nil, err
 		}
-		if vec {
-			it, err := algebra.OpenVec(ctx, plan, in)
-			if err != nil {
-				sink.abort()
-				return nil, err
-			}
-			if err := padIntoVec(it, sink, s); err != nil {
-				sink.abort()
-				return nil, err
-			}
-		} else {
-			it, err := plan.Open(ctx, in)
-			if err != nil {
-				sink.abort()
-				return nil, err
-			}
-			if err := padInto(it, sink, s); err != nil {
-				sink.abort()
-				return nil, err
-			}
+		if err := padInto(ctx, plan, in, sink, s); err != nil {
+			sink.abort()
+			return nil, err
 		}
 	}
 	cPadded.Add(sink.added())
@@ -310,40 +311,15 @@ func fullDisjunction(ctx context.Context, g *graph.QueryGraph, in *relation.Inst
 	return out, nil
 }
 
-// padInto drains an iterator, padding every tuple to the D(G) scheme
-// s and feeding the accumulator (which charges what it retains). The
-// iterator is closed in all cases.
-func padInto(it algebra.Iterator, sink dgSink, s *relation.Scheme) error {
-	defer it.Close()
-	for {
-		batch, err := it.Next()
-		if err != nil {
-			return err
-		}
-		if batch == nil {
-			return nil
-		}
-		for _, t := range batch {
-			if err := sink.add(t.PadTo(s)); err != nil {
-				return err
-			}
-		}
+// padInto runs plan, aligning every batch to the D(G) scheme s with a
+// zero-copy remap and feeding the accumulator (which charges what it
+// retains). The pipeline is closed in all cases.
+func padInto(ctx context.Context, plan algebra.Node, in *relation.Instance, sink dgSink, s *relation.Scheme) error {
+	it, err := algebra.Open(ctx, plan, in)
+	if err != nil {
+		return err
 	}
-}
-
-// batchSink is the optional columnar fast path of a dgSink: aligned
-// batches retained wholesale instead of tuple by tuple.
-type batchSink interface {
-	addBatch(b *relation.Batch) error
-}
-
-// padIntoVec drains a columnar iterator, aligning every batch to the
-// D(G) scheme s with a zero-copy remap and feeding the accumulator —
-// the columnar counterpart of padInto. The iterator is closed in all
-// cases.
-func padIntoVec(it algebra.VecIterator, sink dgSink, s *relation.Scheme) error {
 	defer it.Close()
-	bs, _ := sink.(batchSink)
 	perm := relation.PadPerm(it.Scheme(), s)
 	for {
 		b, err := it.NextBatch()
@@ -353,18 +329,8 @@ func padIntoVec(it algebra.VecIterator, sink dgSink, s *relation.Scheme) error {
 		if b == nil {
 			return nil
 		}
-		aligned := b.Remapped(s, perm)
-		if bs != nil {
-			if err := bs.addBatch(aligned); err != nil {
-				return err
-			}
-			continue
-		}
-		n := aligned.Len()
-		for i := 0; i < n; i++ {
-			if err := sink.add(aligned.Tuple(i)); err != nil {
-				return err
-			}
+		if err := sink.addBatch(b.Remapped(s, perm)); err != nil {
+			return err
 		}
 	}
 }
@@ -395,9 +361,9 @@ func FullDisjunctionNaive(ctx context.Context, g *graph.QueryGraph, in *relation
 		j := g.Induced(sub)
 		// Cross product of the subset's relations, filtered by the
 		// conjunction of all edge predicates — the letter of the
-		// definition. The cross iterators charge the budget per
-		// cross-product tuple as it streams, so this is the algorithm
-		// where unbounded materialization is refused first.
+		// definition. The cross products charge the budget per output
+		// batch as they stream, so this is the algorithm where
+		// unbounded materialization is refused first.
 		var acc algebra.Node
 		for _, name := range j.Nodes() {
 			n, _ := j.Node(name)
@@ -413,12 +379,7 @@ func FullDisjunctionNaive(ctx context.Context, g *graph.QueryGraph, in *relation
 			preds = append(preds, e.Pred)
 		}
 		plan := algebra.Select{Child: acc, Pred: expr.And(preds...)}
-		it, err := plan.Open(ctx, in)
-		if err != nil {
-			sink.abort()
-			return nil, err
-		}
-		if err := padInto(it, sink, s); err != nil {
+		if err := padInto(ctx, plan, in, sink, s); err != nil {
 			sink.abort()
 			return nil, err
 		}
@@ -473,41 +434,9 @@ func FullDisjunctionOuterJoin(ctx context.Context, g *graph.QueryGraph, in *rela
 	}
 	sink := newDGSink(ctx, budget.FromContext(ctx), s)
 	defer abortOnPanic(sink)
-	if !budget.FromContext(ctx).SpillEnabled() {
-		it, err := algebra.OpenVec(ctx, plan, in)
-		if err != nil {
-			return nil, err
-		}
-		if err := padIntoVec(it, sink, s); err != nil {
-			sink.abort()
-			return nil, err
-		}
-	} else {
-		it, err := plan.Open(ctx, in)
-		if err != nil {
-			return nil, err
-		}
-		err = func() error {
-			defer it.Close()
-			for {
-				batch, err := it.Next()
-				if err != nil {
-					return err
-				}
-				if batch == nil {
-					return nil
-				}
-				for _, t := range batch {
-					if err := sink.add(t.Project(s)); err != nil {
-						return err
-					}
-				}
-			}
-		}()
-		if err != nil {
-			sink.abort()
-			return nil, err
-		}
+	if err := padInto(ctx, plan, in, sink, s); err != nil {
+		sink.abort()
+		return nil, err
 	}
 	out, err := sink.finalize()
 	if err != nil {

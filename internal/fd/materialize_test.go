@@ -171,3 +171,25 @@ func TestNewMaterializedMatchesPerTupleInsert(t *testing.T) {
 		})
 	}
 }
+
+// Matches remembers the graph it last accepted by pointer and version,
+// so it must notice an edit of that very graph object, and still accept
+// another object with the same content.
+func TestMaterializedMatchesFollowsGraphEdits(t *testing.T) {
+	in := paperdb.Instance()
+	g := paperdb.Figure6G().Graph
+	m, err := fd.NewMaterialized(context.Background(), g, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.Matches(g) || !m.Matches(g) {
+		t.Fatal("a materialization does not match the graph it was built for")
+	}
+	g.MustAddEdge("Children", "PhoneDir", expr.Equals("Children.mid", "PhoneDir.ID"))
+	if m.Matches(g) {
+		t.Fatal("Matches still accepts the graph after an edge was added to it")
+	}
+	if !m.Matches(paperdb.Figure6G().Graph) {
+		t.Fatal("Matches refuses another graph with the same content")
+	}
+}

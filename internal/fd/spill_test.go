@@ -379,7 +379,7 @@ func TestBudgetSpillSubsumedFrontRefundsEvictions(t *testing.T) {
 	refTr := budget.NewTracker(budget.Budget{MaxBytes: 1 << 40})
 	ref := newDGSink(context.Background(), refTr, s)
 	for _, u := range stream {
-		if err := ref.add(u); err != nil {
+		if err := addTuple(ref, u); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -391,7 +391,7 @@ func TestBudgetSpillSubsumedFrontRefundsEvictions(t *testing.T) {
 	tr := budget.NewTracker(budget.Budget{MaxBytes: cap, SpillDir: t.TempDir()})
 	sink := newDGSink(context.Background(), tr, s)
 	for _, u := range stream {
-		if err := sink.add(u); err != nil {
+		if err := addTuple(sink, u); err != nil {
 			t.Fatalf("add under pressure: %v", err)
 		}
 	}
@@ -417,6 +417,13 @@ func TestBudgetSpillSubsumedFrontRefundsEvictions(t *testing.T) {
 	}
 }
 
+// addTuple feeds one tuple to a sink as a one-row batch.
+func addTuple(sink dgSink, u relation.Tuple) error {
+	b := relation.NewBatch(u.Scheme())
+	b.AppendTuple(u)
+	return sink.addBatch(b)
+}
+
 // With recursion disabled, a D(G) replay the budget refuses keeps the
 // plain "enabled" spill state; with the default depth available the
 // sink either completes or names recursion_exhausted — never a bare
@@ -440,7 +447,7 @@ func TestBudgetSpillDGRecursionOffKeepsEnabledState(t *testing.T) {
 			sink := newDGSink(context.Background(), tr, s)
 			var err error
 			for _, u := range stream {
-				if err = sink.add(u); err != nil {
+				if err = addTuple(sink, u); err != nil {
 					break
 				}
 			}

@@ -40,13 +40,16 @@ import (
 	"clio/internal/budget"
 	"clio/internal/relation"
 	"clio/internal/spill"
+	"clio/internal/value"
 )
 
 // dgSink accumulates padded D(G) candidate tuples and reduces them to
 // the subsumption front. After finalize or abort the sink must not be
 // used again; abort is idempotent and safe after a failed add.
 type dgSink interface {
-	add(t relation.Tuple) error
+	// addBatch retains every visible row of b, which must already be
+	// aligned to the sink scheme.
+	addBatch(b *relation.Batch) error
 	added() int64
 	finalize() (*relation.Relation, error)
 	abort()
@@ -121,20 +124,9 @@ type memSink struct {
 	n   int64
 }
 
-func (m *memSink) add(t relation.Tuple) error {
-	if err := m.tr.Charge(1, t.ApproxBytes()); err != nil {
-		return err
-	}
-	m.acc.AppendTuple(t)
-	m.n++
-	return nil
-}
-
-// addBatch retains every visible row of b (which must already be
-// aligned to the sink scheme). Charges are taken row by row, exactly
-// like the tuple path — a refusal retains the rows charged before it
-// and rejects the rest, so budget behavior is unchanged — but retained
-// rows are gathered column-wise, never materialized as tuples.
+// addBatch charges row by row — a refusal retains the rows charged
+// before it and rejects the rest — and gathers the retained rows
+// column-wise, never materializing them as tuples.
 func (m *memSink) addBatch(b *relation.Batch) error {
 	n := b.Len()
 	charged := 0
@@ -181,30 +173,54 @@ type dgAccum struct {
 	// children holds recursive re-partition sets created during the
 	// serial replay; closed with the parent on abort.
 	children []*spill.PartitionSet
+	scratch  []value.Value // borrowed row for frames once spilled
 	n        int64
 	closed   bool
 }
 
-func (a *dgAccum) add(t relation.Tuple) error {
-	a.n++
-	if a.parts != nil {
-		return a.parts.Add(t)
-	}
-	if !a.seen.insert(t) {
-		return nil
-	}
-	b := t.ApproxBytes()
-	if a.roomToRetain(b) {
-		if err := a.tr.Charge(1, b); err == nil {
+// addBatch retains b's rows one at a time, in order: a row already in
+// the distinct front is dropped, a new one is retained and charged
+// while the front has room, and the first refusal moves the front to
+// disk, where every later row goes.
+func (a *dgAccum) addBatch(b *relation.Batch) error {
+	n := b.Len()
+	for i := 0; i < n; i++ {
+		a.n++
+		if a.parts != nil {
+			// A frame is encoded as it is added: a borrowed row will do.
+			if a.scratch == nil {
+				a.scratch = make([]value.Value, a.s.Arity())
+			}
+			if err := a.parts.Add(b.TupleInto(a.scratch, i)); err != nil {
+				return err
+			}
+			continue
+		}
+		t := b.Tuple(i)
+		if !a.seen.insert(t) {
+			continue
+		}
+		by := t.ApproxBytes()
+		if a.roomToRetain(by) && a.tr.Charge(1, by) == nil {
 			a.rel.Add(t)
 			a.rows++
-			a.bytes += b
-			return nil
+			a.bytes += by
+			continue
+		}
+		if err := a.spillFront(); err != nil {
+			return err
+		}
+		if err := a.parts.Add(t); err != nil {
+			return err
 		}
 	}
-	// Overflow: move the distinct front to disk, refund its memory, and
-	// keep streaming straight to the partitions (duplicates included —
-	// they collapse again, exactly, at finalize).
+	return nil
+}
+
+// spillFront moves the distinct front to disk and refunds its memory.
+// Every later row streams straight to the partitions, duplicates
+// included — they collapse again, exactly, at finalize.
+func (a *dgAccum) spillFront() error {
 	a.parts = spill.NewPartitionSet(a.tr, spill.DefaultPartitions, nil)
 	for _, u := range a.rel.Tuples() {
 		if err := a.parts.Add(u); err != nil {
@@ -214,7 +230,7 @@ func (a *dgAccum) add(t relation.Tuple) error {
 	a.tr.Refund(a.rows, a.bytes)
 	a.rows, a.bytes = 0, 0
 	a.rel, a.seen = nil, nil
-	return a.parts.Add(t)
+	return nil
 }
 
 // roomToRetain bounds the retained distinct front to a quarter of each

@@ -60,6 +60,9 @@ type QueryGraph struct {
 	nodes map[string]Node
 	order []string
 	edges []Edge
+	// version counts mutations (AddNode, AddEdge), so a consumer can
+	// tell the graph it derived state from is unchanged.
+	version uint64
 }
 
 // New creates an empty query graph.
@@ -78,6 +81,7 @@ func (g *QueryGraph) AddNode(name, base string) error {
 	}
 	g.nodes[name] = Node{Name: name, Base: base}
 	g.order = append(g.order, name)
+	g.version++
 	return nil
 }
 
@@ -101,6 +105,7 @@ func (g *QueryGraph) AddEdge(a, b string, pred expr.Expr) error {
 	if _, ok := g.nodes[b]; !ok {
 		return fmt.Errorf("graph: edge endpoint %q not in graph", b)
 	}
+	g.version++
 	for i, e := range g.edges {
 		if e.sameEndpoints(a, b) {
 			g.edges[i].Pred = expr.And(e.Pred, pred)
@@ -110,6 +115,10 @@ func (g *QueryGraph) AddEdge(a, b string, pred expr.Expr) error {
 	g.edges = append(g.edges, Edge{A: a, B: b, Pred: pred})
 	return nil
 }
+
+// Version returns the graph's mutation counter: equal versions of the
+// same graph object imply identical nodes and edges.
+func (g *QueryGraph) Version() uint64 { return g.version }
 
 // MustAddEdge is AddEdge that panics on error.
 func (g *QueryGraph) MustAddEdge(a, b string, pred expr.Expr) {

@@ -22,20 +22,31 @@ func TestSchemaValidates(t *testing.T) {
 	}
 }
 
+// rowsWith returns the positions of r's tuples whose attr equals v.
+func rowsWith(r *relation.Relation, attr string, v value.Value) []int {
+	var out []int
+	for i, tp := range r.Tuples() {
+		if tp.Get(attr).Equal(v) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 func TestInstanceIntegrity(t *testing.T) {
 	in := Instance()
 	// Declared FKs hold on the data.
 	for _, fk := range in.Schema.ForeignKs {
 		from := in.Relation(fk.FromRelation)
 		to := in.Relation(fk.ToRelation)
-		toIx := to.BuildIndex(fk.ToRelation + "." + fk.ToAttrs[0])
+		toAttr := fk.ToRelation + "." + fk.ToAttrs[0]
 		fromPos := from.Scheme().Positions(fk.FromRelation + "." + fk.FromAttrs[0])
 		for _, tp := range from.Tuples() {
 			v := tp.At(fromPos[0])
 			if v.IsNull() {
 				continue
 			}
-			if len(toIx.Probe(v)) == 0 {
+			if len(rowsWith(to, toAttr, v)) == 0 {
 				t.Errorf("FK %s violated by %v", fk.Name, tp)
 			}
 		}
@@ -85,8 +96,8 @@ func TestProseFacts(t *testing.T) {
 		}
 	}
 	// Parent 205 exists, has a phone, and no children reference it.
-	ph := in.Relation("PhoneDir").BuildIndex("PhoneDir.ID")
-	if len(ph.Probe(value.Int(205))) != 1 {
+	ph := in.Relation("PhoneDir")
+	if len(rowsWith(ph, "PhoneDir.ID", value.Int(205))) != 1 {
 		t.Error("parent 205 should have a phone")
 	}
 	for _, tp := range c.Tuples() {
@@ -102,7 +113,7 @@ func TestProseFacts(t *testing.T) {
 			t.Errorf("child %v has no mother", tp)
 			continue
 		}
-		if len(ph.Probe(mid)) == 0 {
+		if len(rowsWith(ph, "PhoneDir.ID", mid)) == 0 {
 			t.Errorf("mother %v has no phone", mid)
 		}
 	}
@@ -123,9 +134,9 @@ func TestProseFacts(t *testing.T) {
 		t.Error("002 must not collide with parent IDs")
 	}
 	// Maya's mother and father have different affiliations (Figure 3).
-	p := in.Relation("Parents").BuildIndex("Parents.ID")
-	mother := in.Relation("Parents").At(p.Probe(maya.Get("Children.mid"))[0])
-	father := in.Relation("Parents").At(p.Probe(maya.Get("Children.fid"))[0])
+	p := in.Relation("Parents")
+	mother := p.At(rowsWith(p, "Parents.ID", maya.Get("Children.mid"))[0])
+	father := p.At(rowsWith(p, "Parents.ID", maya.Get("Children.fid"))[0])
 	if mother.Get("Parents.affiliation").Equal(father.Get("Parents.affiliation")) {
 		t.Error("Maya's parents should have distinct affiliations")
 	}

@@ -29,6 +29,8 @@ package relation
 //     columns; materialization applies it.
 
 import (
+	"slices"
+
 	"clio/internal/value"
 )
 
@@ -275,8 +277,9 @@ func (c *ColVec) mixHashInto(hs []uint64, rows []int32) {
 // AppendGather appends the cells of src at the given physical rows, in
 // order; a negative row id appends a null cell. When src is uniformly
 // typed and c is empty or of the same layout, the copy runs over the
-// typed vectors with no per-cell Value boxing — the join/distinct
-// output gather path.
+// typed vectors with no per-cell Value boxing, and the bitmap and the
+// typed vector grow once per call — the join/distinct output gather
+// path.
 func (c *ColVec) AppendGather(src *ColVec, rows []int32) {
 	fast := !src.mixed && !c.mixed && (c.kind == src.kind || c.kind == value.KindNull || src.kind == value.KindNull)
 	if !fast {
@@ -293,6 +296,7 @@ func (c *ColVec) AppendGather(src *ColVec, rows []int32) {
 		c.kind = src.kind
 		c.padTyped(c.n - c.typedLen())
 	}
+	c.grow(len(rows))
 	for _, r := range rows {
 		i := c.n
 		c.growNulls()
@@ -317,6 +321,34 @@ func (c *ColVec) AppendGather(src *ColVec, rows []int32) {
 			c.bools = append(c.bools, src.bools[r])
 		}
 	}
+}
+
+// grow makes room for k more rows in the bitmap and the typed vector
+// of the column's kind.
+func (c *ColVec) grow(k int) {
+	if words := (c.n + k + 63) / 64; words > len(c.nulls) {
+		c.nulls = slices.Grow(c.nulls, words-len(c.nulls))
+	}
+	switch c.kind {
+	case value.KindInt:
+		c.ints = slices.Grow(c.ints, k)
+	case value.KindFloat:
+		c.floats = slices.Grow(c.floats, k)
+	case value.KindString:
+		c.strs = slices.Grow(c.strs, k)
+	case value.KindBool:
+		c.bools = slices.Grow(c.bools, k)
+	}
+}
+
+// HasNull reports whether any row of the column is null.
+func (c *ColVec) HasNull() bool {
+	for _, w := range c.nulls {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // appendFrom appends row i of src as the next row of c.
@@ -430,17 +462,92 @@ func (b *Batch) AppendRow(src *Batch, i int) {
 // AppendBatch appends every visible row of src, column-wise through
 // the typed gather path.
 func (b *Batch) AppendBatch(src *Batch) {
-	rows := src.sel
-	if rows == nil {
-		rows = make([]int32, src.n)
-		for i := range rows {
-			rows[i] = int32(i)
-		}
-	}
+	rows := src.physRows(nil)
+	b.carve(len(rows), src, nil)
 	for c := range b.cols {
 		b.cols[c].AppendGather(&src.cols[c], rows)
 	}
 	b.n += len(rows)
+}
+
+// carve gives every column of an empty batch room for k rows gathered
+// from the matching column of l ++ r (r may be nil): the null bitmaps
+// share one allocation and the typed vectors of each kind share
+// another, so a fresh batch costs a few allocations rather than two per
+// column. Columns that already have the room keep their storage.
+func (b *Batch) carve(k int, l, r *Batch) {
+	if b.n != 0 || k == 0 {
+		return
+	}
+	src := func(c int) *ColVec {
+		if c < len(l.cols) {
+			return &l.cols[c]
+		}
+		return &r.cols[c-len(l.cols)]
+	}
+	words := (k + 63) / 64
+	var need [value.KindBool + 1]int
+	bitmaps := 0
+	for c := range b.cols {
+		d, s := &b.cols[c], src(c)
+		if cap(d.nulls) < words {
+			bitmaps++
+		}
+		if kind := s.kind; !s.mixed && !d.mixed && kind != value.KindNull && d.typedCap(kind) < k {
+			need[kind]++
+		}
+	}
+	nulls := make([]uint64, bitmaps*words)
+	var ints []int64
+	var floats []float64
+	var strs []string
+	var bools []bool
+	if need[value.KindInt] > 0 {
+		ints = make([]int64, need[value.KindInt]*k)
+	}
+	if need[value.KindFloat] > 0 {
+		floats = make([]float64, need[value.KindFloat]*k)
+	}
+	if need[value.KindString] > 0 {
+		strs = make([]string, need[value.KindString]*k)
+	}
+	if need[value.KindBool] > 0 {
+		bools = make([]bool, need[value.KindBool]*k)
+	}
+	for c := range b.cols {
+		d, s := &b.cols[c], src(c)
+		if cap(d.nulls) < words {
+			d.nulls, nulls = nulls[:0:words], nulls[words:]
+		}
+		if s.mixed || d.mixed || s.kind == value.KindNull || d.typedCap(s.kind) >= k {
+			continue
+		}
+		switch s.kind {
+		case value.KindInt:
+			d.ints, ints = ints[:0:k], ints[k:]
+		case value.KindFloat:
+			d.floats, floats = floats[:0:k], floats[k:]
+		case value.KindString:
+			d.strs, strs = strs[:0:k], strs[k:]
+		case value.KindBool:
+			d.bools, bools = bools[:0:k], bools[k:]
+		}
+	}
+}
+
+// typedCap returns the capacity of the column's typed vector of kind k.
+func (c *ColVec) typedCap(k value.Kind) int {
+	switch k {
+	case value.KindInt:
+		return cap(c.ints)
+	case value.KindFloat:
+		return cap(c.floats)
+	case value.KindString:
+		return cap(c.strs)
+	case value.KindBool:
+		return cap(c.bools)
+	}
+	return 0
 }
 
 // AppendConcatGather appends len(lrows) physical rows formed by
@@ -452,6 +559,7 @@ func (b *Batch) AppendConcatGather(l *Batch, lrows []int32, r *Batch, rrows []in
 	if len(lrows) != len(rrows) {
 		panic("relation: AppendConcatGather row list length mismatch")
 	}
+	b.carve(len(lrows), l, r)
 	lw := len(l.cols)
 	for c := 0; c < lw; c++ {
 		b.cols[c].AppendGather(&l.cols[c], lrows)
@@ -467,6 +575,16 @@ func (b *Batch) AppendConcatGather(l *Batch, lrows []int32, r *Batch, rrows []in
 // view is read-only, like the base.
 func (b *Batch) View(sel []int32) *Batch {
 	return &Batch{scheme: b.scheme, cols: b.cols, n: b.n, sel: sel}
+}
+
+// Renamed returns a view of b over scheme s, which must have b's
+// arity: the columns, row count and selection are shared — how a scan
+// under an alias reads its base relation's cached columns.
+func (b *Batch) Renamed(s *Scheme) *Batch {
+	if s.Arity() != len(b.cols) {
+		panic("relation: Renamed arity mismatch")
+	}
+	return &Batch{scheme: s, cols: b.cols, n: b.n, sel: b.sel}
 }
 
 // ApproxBytes estimates the resident footprint of the batch's visible
@@ -529,11 +647,26 @@ func (b *Batch) TupleInto(scratch []value.Value, i int) Tuple {
 	return Tuple{scheme: b.scheme, vals: scratch}
 }
 
-// physRows returns the visible physical rows as an []int32, using
-// scratch to avoid allocation when there is no selection vector.
+// identityRows lists the row ids 0, 1, 2, …: a batch without a
+// selection vector of at most its length passes a prefix of it as its
+// physical rows instead of building the list.
+var identityRows = func() []int32 {
+	ids := make([]int32, 1024)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	return ids
+}()
+
+// physRows returns the visible physical rows as an []int32. The result
+// is read-only; scratch, when large enough, spares an allocation for a
+// long batch without a selection vector.
 func (b *Batch) physRows(scratch []int32) []int32 {
 	if b.sel != nil {
 		return b.sel
+	}
+	if b.n <= len(identityRows) {
+		return identityRows[:b.n:b.n]
 	}
 	scratch = scratch[:0]
 	for i := 0; i < b.n; i++ {
@@ -568,6 +701,17 @@ func (b *Batch) HashRowsOn(positions []int, dst []uint64, rowScratch []int32) []
 		b.cols[p].mixHashInto(dst, rows)
 	}
 	return rows
+}
+
+// HashRowsAt is HashRowsOn for the given physical rows: dst[j] is the
+// hash of row rows[j] on positions.
+func (b *Batch) HashRowsAt(positions []int, rows []int32, dst []uint64) {
+	for j := range dst {
+		dst[j] = value.HashSeed()
+	}
+	for _, p := range positions {
+		b.cols[p].mixHashInto(dst, rows)
+	}
 }
 
 // AppendKeyRow appends the canonical sort key of visible row i
@@ -704,18 +848,42 @@ func BatchFromRelation(r *Relation) *Batch {
 	}
 	b.n = n
 	words := (n + 63) / 64
+	// Sniff each column's kind from its first non-null cell, then carve
+	// the bitmaps from one allocation and each kind's typed vectors from
+	// another.
+	kinds := make([]value.Kind, len(b.cols))
+	var need [value.KindBool + 1]int
 	for c := range b.cols {
-		col := &b.cols[c]
-		col.nulls = make([]uint64, words)
-		col.n = n
-		// Sniff the column kind from the first non-null cell.
-		kind := value.KindNull
 		for _, t := range tuples {
 			if v := t.At(c); !v.IsNull() {
-				kind = v.Kind()
+				kinds[c] = v.Kind()
 				break
 			}
 		}
+		need[kinds[c]]++
+	}
+	nulls := make([]uint64, len(b.cols)*words)
+	var ints []int64
+	var floats []float64
+	var strs []string
+	var bools []bool
+	if need[value.KindInt] > 0 {
+		ints = make([]int64, need[value.KindInt]*n)
+	}
+	if need[value.KindFloat] > 0 {
+		floats = make([]float64, need[value.KindFloat]*n)
+	}
+	if need[value.KindString] > 0 {
+		strs = make([]string, need[value.KindString]*n)
+	}
+	if need[value.KindBool] > 0 {
+		bools = make([]bool, need[value.KindBool]*n)
+	}
+	for c := range b.cols {
+		col := &b.cols[c]
+		col.nulls, nulls = nulls[:words:words], nulls[words:]
+		col.n = n
+		kind := kinds[c]
 		col.kind = kind
 		switch kind {
 		case value.KindNull:
@@ -727,13 +895,13 @@ func BatchFromRelation(r *Relation) *Batch {
 			}
 			continue
 		case value.KindInt:
-			col.ints = make([]int64, n)
+			col.ints, ints = ints[:n:n], ints[n:]
 		case value.KindFloat:
-			col.floats = make([]float64, n)
+			col.floats, floats = floats[:n:n], floats[n:]
 		case value.KindString:
-			col.strs = make([]string, n)
+			col.strs, strs = strs[:n:n], strs[n:]
 		case value.KindBool:
-			col.bools = make([]bool, n)
+			col.bools, bools = bools[:n:n], bools[n:]
 		}
 		for i, t := range tuples {
 			v := t.At(c)
@@ -743,8 +911,7 @@ func BatchFromRelation(r *Relation) *Batch {
 			}
 			if v.Kind() != kind {
 				// Kind conflict: rebuild this column generically.
-				col.Reset()
-				col.nulls = make([]uint64, words)
+				*col = ColVec{}
 				for _, u := range tuples {
 					col.Append(u.At(c))
 				}

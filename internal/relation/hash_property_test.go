@@ -3,7 +3,6 @@ package relation
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"clio/internal/value"
@@ -69,44 +68,6 @@ func TestDistinctMatchesStringKeyReference(t *testing.T) {
 			if fast.At(i).Key() != ref.At(i).Key() {
 				t.Fatalf("trial %d: survivor %d differs:\nfast %v\nref  %v",
 					trial, i, fast.At(i), ref.At(i))
-			}
-		}
-	}
-}
-
-// Differential property: hash-index probes (Hash64 buckets confirmed
-// by EqualOn) must return exactly the rows a string-keyed scan finds,
-// with nulls on indexed columns never matching.
-func TestIndexProbeMatchesStringKeyReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(78))
-	s := NewScheme("a", "b", "c")
-	pos := s.Positions("a", "b")
-	for trial := 0; trial < 200; trial++ {
-		r := New("R", s)
-		n := rng.Intn(40)
-		for i := 0; i < n; i++ {
-			r.AddValues(adversarialValue(rng), adversarialValue(rng), adversarialValue(rng))
-		}
-		ix := r.BuildIndex("a", "b")
-		for probe := 0; probe < 10; probe++ {
-			q := NewTuple(s, adversarialValue(rng), adversarialValue(rng), adversarialValue(rng))
-			got := append([]int(nil), ix.ProbeTuple(q, pos)...)
-			var want []int
-			if !q.HasNullAt(pos) {
-				for i, tu := range r.Tuples() {
-					if !tu.HasNullAt(pos) && tu.KeyOn(pos) == q.KeyOn(pos) {
-						want = append(want, i)
-					}
-				}
-			}
-			sort.Ints(got)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d: probe %v hit rows %v, reference %v", trial, q, got, want)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d: probe %v hit rows %v, reference %v", trial, q, got, want)
-				}
 			}
 		}
 	}

@@ -100,6 +100,29 @@ func (in *Instance) Aliased(base, alias string) (*Relation, error) {
 	return r.Rename(alias, rename), nil
 }
 
+// AliasedColumns is the columnar Aliased: the stored relation's cached
+// Columns() view, under the alias's qualified scheme when alias differs
+// from base. The column vectors are shared, not copied.
+func (in *Instance) AliasedColumns(base, alias string) (*Batch, error) {
+	r := in.rels[base]
+	if r == nil {
+		return nil, fmt.Errorf("relation: instance has no relation %q", base)
+	}
+	b := r.Columns()
+	if alias == base {
+		return b, nil
+	}
+	names := make([]string, r.Scheme().Arity())
+	for i, qn := range r.Scheme().Names() {
+		ref, err := schema.ParseColumnRef(qn)
+		if err != nil {
+			return nil, err
+		}
+		names[i] = alias + "." + ref.Attr
+	}
+	return b.Renamed(NewScheme(names...)), nil
+}
+
 // TotalTuples returns the total tuple count across all relations.
 func (in *Instance) TotalTuples() int {
 	n := 0

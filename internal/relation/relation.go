@@ -328,127 +328,6 @@ func (r *Relation) EqualSet(o *Relation) bool {
 	return true
 }
 
-// Index is a hash index on a subset of a relation's attributes. Rows
-// bucket on the 64-bit hash of their indexed values; the row ids of
-// each bucket live in one shared arena (no per-bucket slice
-// allocations), and probes confirm candidate equality value-wise, so
-// a hash collision can never produce a false match.
-type Index struct {
-	rel       *Relation
-	positions []int
-	spans     map[uint64]span
-	arena     []int
-}
-
-// span addresses one hash bucket inside the index arena.
-type span struct {
-	off, n int32
-}
-
-// BuildIndex builds a hash index on the named attributes. Tuples that
-// are null on any indexed attribute are excluded (SQL joins never
-// match on null). The build is two-pass — count, then fill — so the
-// only allocations are the hash array, the bucket map, and the arena.
-func (r *Relation) BuildIndex(attrs ...string) *Index {
-	pos := r.scheme.Positions(attrs...)
-	ix := &Index{rel: r, positions: pos}
-	hashes := make([]uint64, len(r.tuples))
-	skip := make([]bool, len(r.tuples))
-	total := 0
-	counts := make(map[uint64]int32, len(r.tuples))
-	for i, t := range r.tuples {
-		if t.HasNullAt(pos) {
-			skip[i] = true
-			continue
-		}
-		h := t.HashOn(pos)
-		hashes[i] = h
-		counts[h]++
-		total++
-	}
-	ix.arena = make([]int, total)
-	ix.spans = make(map[uint64]span, len(counts))
-	var off int32
-	for h, c := range counts {
-		ix.spans[h] = span{off: off}
-		off += c
-	}
-	for i := range r.tuples {
-		if skip[i] {
-			continue
-		}
-		sp := ix.spans[hashes[i]]
-		ix.arena[sp.off+sp.n] = i
-		sp.n++
-		ix.spans[hashes[i]] = sp
-	}
-	return ix
-}
-
-// bucket returns the arena row ids sharing hash h.
-func (ix *Index) bucket(h uint64) []int {
-	sp, ok := ix.spans[h]
-	if !ok {
-		return nil
-	}
-	return ix.arena[sp.off : sp.off+sp.n]
-}
-
-// confirm filters a candidate bucket down to the rows that really
-// match, per the keep predicate. In the common case every candidate
-// matches and the arena subslice is returned as-is (no allocation);
-// only a true hash collision forces a filtered copy.
-func confirm(cand []int, keep func(row int) bool) []int {
-	for i, row := range cand {
-		if !keep(row) {
-			out := make([]int, i, len(cand)-1)
-			copy(out, cand[:i])
-			for _, r := range cand[i+1:] {
-				if keep(r) {
-					out = append(out, r)
-				}
-			}
-			return out
-		}
-	}
-	return cand
-}
-
-// Probe returns the positions of tuples whose indexed attributes match
-// the given values. Probing with any null value returns nothing.
-func (ix *Index) Probe(vals ...value.Value) []int {
-	if len(vals) != len(ix.positions) {
-		panic("relation: index probe arity mismatch")
-	}
-	h := value.HashSeed()
-	for _, v := range vals {
-		if v.IsNull() {
-			return nil
-		}
-		h = v.MixHash64(h)
-	}
-	return confirm(ix.bucket(h), func(row int) bool {
-		t := ix.rel.tuples[row]
-		for i, p := range ix.positions {
-			if !t.vals[p].Equal(vals[i]) {
-				return false
-			}
-		}
-		return true
-	})
-}
-
-// ProbeTuple probes using the values found at the given positions of t.
-func (ix *Index) ProbeTuple(t Tuple, positions []int) []int {
-	if t.HasNullAt(positions) {
-		return nil
-	}
-	h := t.HashOn(positions)
-	return confirm(ix.bucket(h), func(row int) bool {
-		return ix.rel.tuples[row].EqualOn(t, ix.positions, positions)
-	})
-}
-
 // String renders the relation with a header row; see also
 // internal/render for aligned output.
 func (r *Relation) String() string {

@@ -172,11 +172,6 @@ func TestTupleProjectConcat(t *testing.T) {
 	if cat.Scheme().Arity() != 3 || cat.Get("c").IntVal() != 9 {
 		t.Error("Concat wrong")
 	}
-	pre := s.Concat(NewScheme("c"))
-	cat2 := tp.ConcatTo(pre, o)
-	if !cat2.Equal(cat) {
-		t.Error("ConcatTo differs from Concat")
-	}
 }
 
 func TestTupleKeys(t *testing.T) {
@@ -192,9 +187,6 @@ func TestTupleKeys(t *testing.T) {
 	}
 	if t1.KeyOn([]int{0}) != t3.KeyOn([]int{0}) {
 		t.Error("KeyOn shared prefix should match")
-	}
-	if !t3.HasNullAt([]int{1}) || t3.HasNullAt([]int{0}) {
-		t.Error("HasNullAt wrong")
 	}
 }
 
@@ -298,35 +290,6 @@ func TestRelationEqualSet(t *testing.T) {
 	r3 := New("T", NewScheme("a", "c"))
 	if r1.EqualSet(r3) {
 		t.Error("EqualSet across schemes should fail")
-	}
-}
-
-func TestIndex(t *testing.T) {
-	s := NewScheme("a", "b")
-	r := New("R", s)
-	r.AddRow("1", "x")
-	r.AddRow("1", "y")
-	r.AddRow("2", "x")
-	r.AddRow("-", "z") // null key, excluded from index
-	ix := r.BuildIndex("a")
-	if got := ix.Probe(value.Int(1)); len(got) != 2 {
-		t.Errorf("Probe(1) = %v", got)
-	}
-	if got := ix.Probe(value.Int(3)); len(got) != 0 {
-		t.Errorf("Probe(3) = %v", got)
-	}
-	if got := ix.Probe(value.Null); got != nil {
-		t.Errorf("Probe(null) = %v, want nil", got)
-	}
-	// ProbeTuple from another relation.
-	s2 := NewScheme("k")
-	probe := mkTuple(s2, "2")
-	if got := ix.ProbeTuple(probe, []int{0}); len(got) != 1 || got[0] != 2 {
-		t.Errorf("ProbeTuple = %v", got)
-	}
-	nullProbe := mkTuple(s2, "-")
-	if got := ix.ProbeTuple(nullProbe, []int{0}); got != nil {
-		t.Errorf("ProbeTuple(null) = %v", got)
 	}
 }
 

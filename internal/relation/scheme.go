@@ -1,5 +1,5 @@
 // Package relation implements relation instances: schemes of qualified
-// attribute names, tuples over those schemes, hash indexes, and the
+// attribute names, tuples over those schemes, columnar batches, and the
 // null-aware set operations the paper builds on — subsumption
 // (Definition 3.8), outer union, and minimum union (Definition 3.9).
 package relation
@@ -87,10 +87,19 @@ func (s *Scheme) SameSet(o *Scheme) bool {
 // It panics if the schemes overlap (concatenation models a cross
 // product of disjoint relation copies).
 func (s *Scheme) Concat(o *Scheme) *Scheme {
-	names := make([]string, 0, s.Arity()+o.Arity())
-	names = append(names, s.names...)
-	names = append(names, o.names...)
-	return NewScheme(names...)
+	out := &Scheme{names: make([]string, 0, s.Arity()+o.Arity()), index: make(map[string]int, s.Arity()+o.Arity())}
+	for _, n := range s.names {
+		out.index[n] = len(out.names)
+		out.names = append(out.names, n)
+	}
+	for _, n := range o.names {
+		if _, dup := out.index[n]; dup {
+			panic(fmt.Sprintf("relation: duplicate attribute %q in scheme", n))
+		}
+		out.index[n] = len(out.names)
+		out.names = append(out.names, n)
+	}
+	return out
 }
 
 // Union returns a new scheme containing s's attributes followed by

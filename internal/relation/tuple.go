@@ -163,73 +163,6 @@ func (t Tuple) Concat(o Tuple) Tuple {
 	return Tuple{scheme: s, vals: vals}
 }
 
-// ConcatTo is Concat with a pre-built target scheme, avoiding repeated
-// scheme construction in join inner loops.
-func (t Tuple) ConcatTo(s *Scheme, o Tuple) Tuple {
-	vals := make([]value.Value, 0, s.Arity())
-	vals = append(vals, t.vals...)
-	vals = append(vals, o.vals...)
-	if len(vals) != s.Arity() {
-		panic("relation: ConcatTo arity mismatch")
-	}
-	return Tuple{scheme: s, vals: vals}
-}
-
-// TupleArena carves tuple value storage out of shared slabs, so a
-// join emitting thousands of output tuples performs one allocation
-// per slab instead of one per tuple. Tuples built from an arena are
-// ordinary Tuples and may outlive it; they keep their slab alive.
-type TupleArena struct {
-	s       *Scheme
-	slab    []value.Value
-	next    int // tuples in the next slab (grows geometrically)
-	scratch []value.Value
-}
-
-// NewTupleArena returns an arena producing tuples over s.
-func NewTupleArena(s *Scheme) *TupleArena { return &TupleArena{s: s, next: 8} }
-
-const arenaMaxSlabTuples = 256
-
-// Concat builds t ++ o over the arena's scheme from slab storage.
-// Slabs grow geometrically, so a tiny join pays for a handful of
-// tuples while a large one amortizes to one allocation per 256.
-func (a *TupleArena) Concat(t, o Tuple) Tuple {
-	w := a.s.Arity()
-	if len(a.slab) < w {
-		a.slab = make([]value.Value, a.next*w)
-		if a.next < arenaMaxSlabTuples {
-			a.next *= 2
-		}
-	}
-	vals := a.slab[:0:w]
-	a.slab = a.slab[w:]
-	vals = append(vals, t.vals...)
-	vals = append(vals, o.vals...)
-	if len(vals) != w {
-		panic("relation: arena Concat arity mismatch")
-	}
-	return Tuple{scheme: a.s, vals: vals}
-}
-
-// ConcatScratch builds t ++ o in a buffer reused across calls — for
-// testing a join predicate against a candidate pair without paying
-// for storage. The returned tuple is INVALID after the next
-// ConcatScratch call; call Concat to keep an accepted pair.
-func (a *TupleArena) ConcatScratch(t, o Tuple) Tuple {
-	w := a.s.Arity()
-	if cap(a.scratch) < w {
-		a.scratch = make([]value.Value, 0, w)
-	}
-	vals := a.scratch[:0]
-	vals = append(vals, t.vals...)
-	vals = append(vals, o.vals...)
-	if len(vals) != w {
-		panic("relation: arena ConcatScratch arity mismatch")
-	}
-	return Tuple{scheme: a.s, vals: vals}
-}
-
 // Key returns a canonical encoding of the whole tuple, usable for
 // duplicate elimination. Tuples with equal schemes and Equal values
 // share a key. Value encodings are self-delimiting (value.Key), so
@@ -313,16 +246,6 @@ func (t Tuple) ApproxBytes() int64 {
 		}
 	}
 	return n
-}
-
-// HasNullAt reports whether any of the given positions is null.
-func (t Tuple) HasNullAt(positions []int) bool {
-	for _, p := range positions {
-		if t.vals[p].IsNull() {
-			return true
-		}
-	}
-	return false
 }
 
 // String renders the tuple as [a:1 b:- c:x].

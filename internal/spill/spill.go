@@ -141,8 +141,7 @@ func DepthSalt(d int) uint64 {
 
 // Route returns the partition index tuple t routes to among n
 // partitions hashed on cols (nil/empty = whole tuple) with the given
-// salt. Exported so in-memory sides of a join can split their groups
-// with byte-identical routing to a spilled counterpart.
+// salt.
 //
 // The xor-shift finalizer before the modulo is load-bearing: the
 // canonical hashes (and MixUint64) use only xor and multiplication,
@@ -152,12 +151,18 @@ func DepthSalt(d int) uint64 {
 // partition. The shifts fold high bits into the low bits the modulo
 // reads, decorrelating the child split from the parent's.
 func Route(t relation.Tuple, cols []int, salt uint64, n int) int {
-	var h uint64
 	if len(cols) > 0 {
-		h = t.HashOn(cols)
-	} else {
-		h = t.Hash64()
+		return RouteHash(t.HashOn(cols), salt, n)
 	}
+	return RouteHash(t.Hash64(), salt, n)
+}
+
+// RouteHash is Route for a precomputed canonical hash: t.HashOn(cols),
+// or t.Hash64() when routing on the whole tuple — or the bit-identical
+// relation.Batch.HashRowsOn/HashRows of the same values, which is how
+// in-memory sides of a join split their groups with byte-identical
+// routing to a spilled counterpart.
+func RouteHash(h, salt uint64, n int) int {
 	if salt != 0 {
 		h = value.MixUint64(h, salt)
 	}

@@ -306,6 +306,15 @@ func (p *parser) parse() (*Query, error) {
 	if len(q.Select) == 0 {
 		return nil, p.errf("empty select list")
 	}
+	// Every table needs its own name: the join chain, the query graph
+	// and the coverage closure all key tables by alias.
+	aliases := map[string]bool{q.From.Alias: true}
+	for _, j := range q.Joins {
+		if aliases[j.Table.Alias] {
+			return nil, fmt.Errorf("sqlparse: alias %q names two tables", j.Table.Alias)
+		}
+		aliases[j.Table.Alias] = true
+	}
 	return q, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"clio/internal/algebra"
 	"clio/internal/core"
@@ -252,4 +253,27 @@ func randInstance(rng *rand.Rand, k int) *relation.Instance {
 		in.MustAdd(r)
 	}
 	return in
+}
+
+// A statement that names two tables with one alias is refused at parse
+// time, with an error naming the alias: its coverage closure would
+// cycle, and its join query would repeat an attribute in a scheme.
+func TestParseSelectRejectsRepeatedAlias(t *testing.T) {
+	const sql = "SELECT Children.ID FROM Children JOIN Parents ON Children.mid = Parents.ID JOIN Children ON Parents.ID = Children.fid"
+	done := make(chan error, 1)
+	go func() {
+		_, err := ImportMapping(sql, paperdb.Instance(), "Kids")
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), `"Children"`) {
+			t.Fatalf("ImportMapping = %v, want an error naming the alias", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("ImportMapping did not return within 2s")
+	}
+	if _, err := ParseSelect("SELECT X.a FROM R AS X JOIN S AS X ON X.a = X.b"); err == nil {
+		t.Error("two tables aliased X parsed")
+	}
 }

@@ -77,8 +77,6 @@ func TestECommerceEndToEnd(t *testing.T) {
 		t.Fatal("empty sales report")
 	}
 	// Revenue is qty*price wherever a product is present.
-	lineIdx := in.Relation("Products").BuildIndex("Products.pid")
-	_ = lineIdx
 	for _, tp := range view.Tuples() {
 		rev := tp.Get("SalesReport.revenue")
 		if tp.Get("SalesReport.product").IsNull() != rev.IsNull() {
