@@ -314,23 +314,11 @@ func (s *session) load(dir string) error {
 }
 
 func (s *session) setTarget(spec string) error {
-	open := strings.IndexByte(spec, '(')
-	if open < 0 || !strings.HasSuffix(spec, ")") {
-		return fmt.Errorf("usage: target Name(attr, attr, ...)")
+	t, err := schema.ParseRelationSpec(spec)
+	if err != nil {
+		return err
 	}
-	name := strings.TrimSpace(spec[:open])
-	var attrs []schema.Attribute
-	for _, a := range strings.Split(spec[open+1:len(spec)-1], ",") {
-		a = strings.TrimSpace(a)
-		if a == "" {
-			continue
-		}
-		attrs = append(attrs, schema.Attribute{Name: a})
-	}
-	if name == "" || len(attrs) == 0 {
-		return fmt.Errorf("usage: target Name(attr, attr, ...)")
-	}
-	s.target = schema.NewRelation(name, attrs...)
+	s.target = t
 	fmt.Fprintf(s.out, "target %s\n", s.target)
 	return nil
 }

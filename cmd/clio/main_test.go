@@ -130,6 +130,7 @@ func TestBadCommands(t *testing.T) {
 	out := drive(t, `
 paper
 target Bad
+target T(a, a)
 start m
 use notanumber
 delete notanumber
@@ -140,8 +141,11 @@ walk onlyone
 chase onlyone
 quit
 `)
-	if c := strings.Count(out, "error:"); c < 7 {
+	if c := strings.Count(out, "error:"); c < 8 {
 		t.Errorf("expected parse errors, got %d:\n%s", c, out)
+	}
+	if !strings.Contains(out, `repeats attribute "a"`) {
+		t.Errorf("a repeated target attribute was not refused:\n%s", out)
 	}
 }
 

@@ -147,11 +147,6 @@ type Join struct {
 	Kind JoinKind
 	L, R Node
 	On   expr.Expr
-	// EstRows is the planner's estimated output cardinality (0 =
-	// unplanned). It does not affect execution; the operator span
-	// reports it next to the actual row count so EXPLAIN can show
-	// est vs. actual per operator.
-	EstRows int64
 }
 
 // Eval executes the join.

@@ -56,9 +56,9 @@ func Open(ctx context.Context, n Node, in *relation.Instance) (Iterator, error) 
 	case Materialized:
 		return newScanIter(ctx, x.Rel.Columns(), x.Rel.Name), nil
 	case Join:
-		return openJoin(ctx, x.Kind, x.L, x.R, x.On, x.EstRows, in)
+		return openJoin(ctx, x.Kind, x.L, x.R, x.On, in)
 	case Cross:
-		return openJoin(ctx, InnerJoin, x.L, x.R, nil, 0, in)
+		return openJoin(ctx, InnerJoin, x.L, x.R, nil, in)
 	}
 	var name string
 	var child Node

@@ -39,7 +39,7 @@ func JoinRelations(kind JoinKind, l, r *relation.Relation, on expr.Expr) *relati
 // materialize more than the budget allows stops early with a
 // budget.Error instead of exhausting memory.
 func JoinRelationsCtx(ctx context.Context, kind JoinKind, l, r *relation.Relation, on expr.Expr) (*relation.Relation, error) {
-	ctx, span := openJoinSpan(ctx, kind, on, 0)
+	ctx, span := openJoinSpan(ctx, kind, on)
 	return Drain(newJoinKernel(ctx, opStats{span: span}, kind, l.Columns(), r.Columns(), on, BatchSize))
 }
 

@@ -178,8 +178,8 @@ func sinkSide(tr *budget.Tracker, it Iterator, base *relation.Batch, cols []int)
 // openSpillJoin is openJoin under a spill-enabled budget. Until it
 // returns an iterator it owns the open children, the sunk sides and
 // the span, and releases them on an error return or a panic.
-func openSpillJoin(ctx context.Context, kind JoinKind, l, r Node, on expr.Expr, est int64, in *relation.Instance) (Iterator, error) {
-	ctx, span := openJoinSpan(ctx, kind, on, est)
+func openSpillJoin(ctx context.Context, kind JoinKind, l, r Node, on expr.Expr, in *relation.Instance) (Iterator, error) {
+	ctx, span := openJoinSpan(ctx, kind, on)
 	tr := budget.FromContext(ctx)
 	// li and ri are the children not yet handed to sinkSide, which
 	// closes what it is given.

@@ -65,11 +65,11 @@ var joinWorkers int
 // when on is nil. Under a spill budget the Grace join owns it
 // (spilljoin.go); otherwise both children materialize as batches under
 // the join's span and a kernel joins them.
-func openJoin(ctx context.Context, kind JoinKind, l, r Node, on expr.Expr, est int64, in *relation.Instance) (Iterator, error) {
+func openJoin(ctx context.Context, kind JoinKind, l, r Node, on expr.Expr, in *relation.Instance) (Iterator, error) {
 	if budget.FromContext(ctx).SpillEnabled() {
-		return openSpillJoin(ctx, kind, l, r, on, est, in)
+		return openSpillJoin(ctx, kind, l, r, on, in)
 	}
-	ctx, span := openJoinSpan(ctx, kind, on, est)
+	ctx, span := openJoinSpan(ctx, kind, on)
 	lb, err := childBatch(ctx, l, in)
 	if err != nil {
 		span.End()
@@ -85,15 +85,12 @@ func openJoin(ctx context.Context, kind JoinKind, l, r Node, on expr.Expr, est i
 
 // openJoinSpan starts the operator span of a join ("op.cross" for a
 // cross product).
-func openJoinSpan(ctx context.Context, kind JoinKind, on expr.Expr, est int64) (context.Context, *obs.Span) {
+func openJoinSpan(ctx context.Context, kind JoinKind, on expr.Expr) (context.Context, *obs.Span) {
 	if on == nil {
 		return openOp(ctx, "op.cross")
 	}
 	ctx, span := openOp(ctx, "op.join")
 	span.SetStr("kind", kind.String())
-	if est > 0 {
-		span.SetInt("est_rows", est)
-	}
 	return ctx, span
 }
 

@@ -115,7 +115,7 @@ func NewMaterialized(ctx context.Context, g *graph.QueryGraph, in *relation.Inst
 		if shapes[i], err = spanningShape(g, sub); err != nil {
 			return nil, err
 		}
-		if err := drain(ctx, shapes[i].plan(nil, nil), in, s, tr, collect); err != nil {
+		if err := drain(ctx, shapes[i].plan(algebra.InnerJoin, nil), in, s, tr, collect); err != nil {
 			return nil, err
 		}
 	}
@@ -258,7 +258,7 @@ func (m *Materialized) ApplyRow(ctx context.Context, g *graph.QueryGraph, in *re
 				// post-delete base — exactly the binding the delete
 				// decomposition needs.
 			}
-			if err := drain(ctx, m.shapes[si].plan(nil, bind), in, m.scheme, tr, emit); err != nil {
+			if err := drain(ctx, m.shapes[si].plan(algebra.InnerJoin, bind), in, m.scheme, tr, emit); err != nil {
 				return err
 			}
 		}

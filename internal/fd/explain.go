@@ -45,12 +45,6 @@ type ExplainResult struct {
 	PartitionSkew   float64       `json:"partition_skew,omitempty"`
 	Duration        time.Duration `json:"-"`
 	Root            *obs.SpanData `json:"-"`
-	// Planner is the cost-based planner's report: every join order it
-	// chose during the run (with per-step estimated cardinalities; the
-	// actual rows live on the matching operator spans under Root) and
-	// the per-relation statistics the estimates came from, with
-	// freshness against the live relation versions.
-	Planner *PlannerBlock `json:"planner,omitempty"`
 }
 
 // ExplainCompute computes D(G) like Compute but always executes (never
@@ -95,7 +89,6 @@ func ExplainCompute(ctx context.Context, g *graph.QueryGraph, in *relation.Insta
 	// (fd.compute) is reachable as a child even when this context
 	// already carries a serving-layer span.
 	ctx, span := obs.StartSpan(ctx, "fd.explain")
-	ctx, rec := withPlanRecorder(ctx)
 	tr := budget.FromContext(ctx)
 	parts0, written0 := tr.SpillParts(), tr.SpillWritten()
 	start := time.Now()
@@ -115,7 +108,6 @@ func ExplainCompute(ctx context.Context, g *graph.QueryGraph, in *relation.Insta
 	if data := span.Data(); data != nil && len(data.Children) > 0 {
 		res.Root = data.Children[0]
 	}
-	res.Planner = &PlannerBlock{Orders: rec.orders, Stats: statsBlock(g, in)}
 	if cacheable && !cacheStoreChecked(key, g, in, d) {
 		// A relation mutated between the peek and here: the peeked
 		// disposition describes content that no longer exists. Say so

@@ -3,6 +3,7 @@ package fd
 import (
 	"context"
 
+	"clio/internal/algebra"
 	"clio/internal/budget"
 	"clio/internal/graph"
 	"clio/internal/relation"
@@ -29,7 +30,7 @@ func NewMaterializedByInsert(ctx context.Context, g *graph.QueryGraph, in *relat
 			return nil, err
 		}
 		m.shapes = append(m.shapes, shape)
-		if err := drain(ctx, shape.plan(nil, nil), in, s, tr, insert); err != nil {
+		if err := drain(ctx, shape.plan(algebra.InnerJoin, nil), in, s, tr, insert); err != nil {
 			return nil, err
 		}
 	}

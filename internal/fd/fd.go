@@ -119,35 +119,15 @@ func Tag(coverage []string, abbrev map[string]string) string {
 
 // associationPlan compiles the F(J) plan (Definition 3.5) for the
 // subgraph of g induced by subset, which must induce a connected
-// subgraph: inner hash joins along a spanning order, with the cycle
-// edges applied as a residual selection.
-func associationPlan(g *graph.QueryGraph, subset []string) (algebra.Node, error) {
-	shape, err := spanningShape(g, subset)
-	if err != nil {
-		return nil, err
-	}
-	return shape.plan(nil, nil), nil
-}
-
-// associationPlanCost compiles F(J) like associationPlan but lets the
-// cost-based planner (planner.go) choose the join order from the
-// instance's per-relation statistics, annotating each join with its
-// estimated output cardinality and recording the choice for EXPLAIN.
-// It falls back to the plain spanning-tree order when statistics
-// cannot be resolved (a missing base relation surfaces when the plan
-// runs, exactly as before).
-func associationPlanCost(ctx context.Context, g *graph.QueryGraph, subset []string, in *relation.Instance) (algebra.Node, error) {
-	j := g.Induced(subset)
-	po, ok := chooseJoinOrder(j, in, false)
+// subgraph: inner hash joins in smallest-first order (see
+// smallestFirstShape), with the cycle edges applied as a residual
+// selection.
+func associationPlan(g *graph.QueryGraph, subset []string, in *relation.Instance) (algebra.Node, error) {
+	shape, ok := smallestFirstShape(g.Induced(subset), in)
 	if !ok {
-		return associationPlan(g, subset)
+		return nil, fmt.Errorf("fd: subset %v does not induce a connected subgraph", subset)
 	}
-	cPlannerPlans.Inc()
-	if def, _, ok := j.SpanningTreeOrder(); ok && !sameOrder(po.order, def) {
-		cPlannerReordered.Inc()
-	}
-	recordPlan(ctx, subset, po)
-	return newPlanShape(j, po.order, po.edges).plan(po.est, nil), nil
+	return shape.plan(algebra.InnerJoin, nil), nil
 }
 
 // planShape is the join skeleton of F(J) over the induced subgraph j:
@@ -161,8 +141,29 @@ type planShape struct {
 	residual expr.Expr
 }
 
+// smallestFirstShape is the shape of F(J) over the induced subgraph j
+// along j.SmallestFirstOrder, sized by each node's base row count (0
+// for a missing base, which the plan's scan or Scheme then reports).
+// D(G) does not depend on join order; starting at the smallest
+// relation keeps the intermediates small without per-column
+// statistics. ok is false when j is empty or not connected.
+func smallestFirstShape(j *graph.QueryGraph, in *relation.Instance) (planShape, bool) {
+	order, attach, ok := j.SmallestFirstOrder(func(name string) int {
+		n, _ := j.Node(name)
+		if r := in.Relation(n.Base); r != nil {
+			return r.Len()
+		}
+		return 0
+	})
+	if !ok {
+		return planShape{}, false
+	}
+	return newPlanShape(j, order, attach), true
+}
+
 // spanningShape is the shape of F(J) for the subgraph of g induced by
-// subset along its spanning-tree order.
+// subset along its spanning-tree order. Delta maintenance plans with
+// it.
 func spanningShape(g *graph.QueryGraph, subset []string) (planShape, error) {
 	j := g.Induced(subset)
 	order, treeEdges, ok := j.SpanningTreeOrder()
@@ -191,13 +192,12 @@ func newPlanShape(j *graph.QueryGraph, order []string, attach []graph.Edge) plan
 	return shape
 }
 
-// plan builds the inner-join chain of the shape: est carries the
-// planner's per-step output estimates (nil = unplanned), and a node
-// whose name appears in bind reads from the bound algebra node instead
-// of a base-relation scan — how the delta planner substitutes
-// singleton-delta and pre-mutation-prefix relations into individual
-// occurrences of an edited base.
-func (p planShape) plan(est []int64, bind map[string]algebra.Node) algebra.Node {
+// plan builds the join chain of the shape with joins of the given
+// kind. A node whose name appears in bind reads from the bound algebra
+// node instead of a base-relation scan — how the delta planner
+// substitutes singleton-delta and pre-mutation-prefix relations into
+// individual occurrences of an edited base.
+func (p planShape) plan(kind algebra.JoinKind, bind map[string]algebra.Node) algebra.Node {
 	source := func(name string) algebra.Node {
 		if b, ok := bind[name]; ok {
 			return b
@@ -207,11 +207,7 @@ func (p planShape) plan(est []int64, bind map[string]algebra.Node) algebra.Node 
 	}
 	node := source(p.order[0])
 	for i := 1; i < len(p.order); i++ {
-		var er int64
-		if est != nil {
-			er = est[i]
-		}
-		node = algebra.Join{Kind: algebra.InnerJoin, L: node, R: source(p.order[i]), On: p.attach[i].Pred, EstRows: er}
+		node = algebra.Join{Kind: kind, L: node, R: source(p.order[i]), On: p.attach[i].Pred}
 	}
 	if p.residual != nil {
 		node = algebra.Select{Child: node, Pred: p.residual}
@@ -224,7 +220,7 @@ func (p planShape) plan(est []int64, bind map[string]algebra.Node) algebra.Node 
 // subgraph. The compiled plan (see associationPlan) is drained under
 // the context's budget and cancellation.
 func FullAssociations(ctx context.Context, g *graph.QueryGraph, in *relation.Instance, subset []string) (*relation.Relation, error) {
-	plan, err := associationPlanCost(ctx, g, subset, in)
+	plan, err := associationPlan(g, subset, in)
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +287,7 @@ func fullDisjunction(ctx context.Context, g *graph.QueryGraph, in *relation.Inst
 		}
 		// Stream each F(J) straight into the accumulator: the
 		// subgraph's final join output is never materialized on its own.
-		plan, err := associationPlanCost(ctx, g, sub, in)
+		plan, err := associationPlan(g, sub, in)
 		if err != nil {
 			sink.abort()
 			return nil, err
@@ -398,33 +394,13 @@ func FullDisjunctionOuterJoin(ctx context.Context, g *graph.QueryGraph, in *rela
 	ctx, span := obs.StartSpan(ctx, "fd.outer_join")
 	defer span.End()
 	span.SetInt("joins", int64(g.NodeCount()-1))
-	// The cost-based planner orders the chain (any connected spanning
-	// traversal is valid — the subsumption sweep is order-independent);
-	// the plain BFS spanning order is the fallback when statistics
-	// cannot be resolved.
-	order, treeEdges, ok := g.SpanningTreeOrder()
+	// Any connected attachment order is valid: the subsumption sweep
+	// is order-independent.
+	shape, ok := smallestFirstShape(g, in)
 	if !ok {
 		return nil, fmt.Errorf("fd: query graph is not connected")
 	}
-	var est []int64
-	if po, ok := chooseJoinOrder(g, in, true); ok {
-		cPlannerPlans.Inc()
-		if !sameOrder(po.order, order) {
-			cPlannerReordered.Inc()
-		}
-		recordPlan(ctx, nil, po)
-		order, treeEdges, est = po.order, po.edges, po.est
-	}
-	n0, _ := g.Node(order[0])
-	var plan algebra.Node = algebra.NewScan(n0.Base, n0.Name)
-	for i := 1; i < len(order); i++ {
-		n, _ := g.Node(order[i])
-		var er int64
-		if est != nil {
-			er = est[i]
-		}
-		plan = algebra.Join{Kind: algebra.FullJoin, L: plan, R: algebra.NewScan(n.Base, n.Name), On: treeEdges[i].Pred, EstRows: er}
-	}
+	plan := shape.plan(algebra.FullJoin, nil)
 	// Align to the canonical D(G) scheme (node insertion order). The
 	// final join streams into the alignment, so its output is never
 	// materialized in join order.

@@ -404,6 +404,58 @@ func (g *QueryGraph) SpanningTreeOrder() (order []string, treeEdge []Edge, ok bo
 	return order, treeEdge, true
 }
 
+// SmallestFirstOrder returns a connected attachment order that starts
+// at the node of least size and then repeatedly attaches the node of
+// least size adjacent to those already ordered, breaking ties by node
+// name. attach[i] is the edge joining order[i] to an earlier node (the
+// first such edge in edge order; attach[0] is unused). size is called
+// once per node. It returns ok=false if the graph is not connected or
+// is empty.
+func (g *QueryGraph) SmallestFirstOrder(size func(node string) int) (order []string, attach []Edge, ok bool) {
+	if len(g.order) == 0 {
+		return nil, nil, false
+	}
+	sizes := make(map[string]int, len(g.order))
+	for _, n := range g.order {
+		sizes[n] = size(n)
+	}
+	less := func(a, b string) bool {
+		return sizes[a] < sizes[b] || sizes[a] == sizes[b] && a < b
+	}
+	start := g.order[0]
+	for _, n := range g.order[1:] {
+		if less(n, start) {
+			start = n
+		}
+	}
+	placed := map[string]bool{start: true}
+	order = []string{start}
+	attach = []Edge{{}}
+	for len(order) < len(g.order) {
+		next, via := "", Edge{}
+		for _, e := range g.edges {
+			n := e.B
+			switch {
+			case placed[e.A] && !placed[e.B]:
+			case placed[e.B] && !placed[e.A]:
+				n = e.A
+			default:
+				continue
+			}
+			if next == "" || less(n, next) {
+				next, via = n, e
+			}
+		}
+		if next == "" {
+			return nil, nil, false
+		}
+		placed[next] = true
+		order = append(order, next)
+		attach = append(attach, via)
+	}
+	return order, attach, true
+}
+
 // SimplePaths returns every simple path between from and to with at
 // most maxLen edges, as slices of node names (including endpoints).
 func (g *QueryGraph) SimplePaths(from, to string, maxLen int) [][]string {

@@ -714,16 +714,6 @@ func (b *Batch) HashRowsAt(positions []int, rows []int32, dst []uint64) {
 	}
 }
 
-// AppendKeyRow appends the canonical sort key of visible row i
-// (byte-identical to Tuple.Key of the same values) to dst.
-func (b *Batch) AppendKeyRow(dst []byte, i int) []byte {
-	r := b.RowID(i)
-	for c := range b.cols {
-		dst = b.cols[c].Value(r).AppendKey(dst)
-	}
-	return dst
-}
-
 // EqualRows reports whether visible row i of b equals visible row j of
 // o value-wise (null equal to null). Schemes must be value-aligned.
 func (b *Batch) EqualRows(i int, o *Batch, j int) bool {
@@ -779,23 +769,6 @@ func (b *Batch) ApproxBytesRow(i int) int64 {
 		}
 	}
 	return n
-}
-
-// NonNullMask64 returns the non-null attribute mask of visible row i as
-// a uint64; ok is false when the arity exceeds 64 (callers fall back to
-// the Mask path).
-func (b *Batch) NonNullMask64(i int) (uint64, bool) {
-	if len(b.cols) > 64 {
-		return 0, false
-	}
-	r := b.RowID(i)
-	var m uint64
-	for c := range b.cols {
-		if !b.cols[c].IsNull(r) {
-			m |= 1 << uint(c)
-		}
-	}
-	return m, true
 }
 
 // Remapped returns a view of b over the target scheme: column t of the

@@ -98,10 +98,6 @@ func TestBatchHashKeyIdentity(t *testing.T) {
 			if hashes[i] != tp.Hash64() {
 				t.Fatalf("%s: row %d HashRows=%x Tuple.Hash64=%x (%v)", mode, i, hashes[i], tp.Hash64(), tp)
 			}
-			key := b.AppendKeyRow(nil, i)
-			if string(key) != tp.Key() {
-				t.Fatalf("%s: row %d AppendKeyRow=%q Tuple.Key=%q", mode, i, key, tp.Key())
-			}
 			got := b.Tuple(i)
 			if !got.Equal(tp) {
 				t.Fatalf("%s: row %d round-trip mismatch: %v vs %v", mode, i, got, tp)
@@ -152,10 +148,6 @@ func TestBatchNullAndEqualHelpers(t *testing.T) {
 	if !b.HasNullAt(2, []int{0}) || b.HasNullAt(0, []int{0, 2}) {
 		t.Fatal("HasNullAt wrong")
 	}
-	m, ok := b.NonNullMask64(0)
-	if !ok || m != 0b101 {
-		t.Fatalf("NonNullMask64 = %b, %v", m, ok)
-	}
 	want := b.Tuple(0).ApproxBytes()
 	if got := b.ApproxBytesRow(0); got != want {
 		t.Fatalf("ApproxBytesRow=%d Tuple.ApproxBytes=%d", got, want)
@@ -180,10 +172,6 @@ func TestBatchRemapped(t *testing.T) {
 		want := tp.PadTo(wide)
 		if !padded.Tuple(i).Equal(want) {
 			t.Fatalf("row %d padded mismatch: %v vs %v", i, padded.Tuple(i), want)
-		}
-		key := padded.AppendKeyRow(nil, i)
-		if string(key) != want.Key() {
-			t.Fatalf("row %d padded key mismatch", i)
 		}
 	}
 	narrow := NewScheme("b")
@@ -231,49 +219,6 @@ func TestRelationAppendBatchAndSort(t *testing.T) {
 		if r.At(i).Key() != naiveSorted.At(i).Key() {
 			t.Fatalf("SortByKey row %d: %q vs naive %q", i, r.At(i).Key(), naiveSorted.At(i).Key())
 		}
-	}
-}
-
-func TestRelationStats(t *testing.T) {
-	s := NewScheme("k", "v")
-	r := New("r", s)
-	r.AddValues(value.Int(1), value.String("a"))
-	r.AddValues(value.Int(2), value.String("a"))
-	r.AddValues(value.Int(2), value.Null)
-
-	st := r.Stats()
-	if st.Rows != 3 || st.Version != r.Version() {
-		t.Fatalf("stats rows/version = %d/%d", st.Rows, st.Version)
-	}
-	if st.Distinct[0] != 2 || st.Distinct[1] != 1 {
-		t.Fatalf("distinct = %v", st.Distinct)
-	}
-	if st.Nulls[0] != 0 || st.Nulls[1] != 1 {
-		t.Fatalf("nulls = %v", st.Nulls)
-	}
-	if r.Stats() != st {
-		t.Fatal("stats not cached")
-	}
-
-	// Append-only growth extends incrementally.
-	r.AddValues(value.Int(3), value.String("b"))
-	st2 := r.Stats()
-	if st2.Rows != 4 || st2.Distinct[0] != 3 || st2.Distinct[1] != 2 {
-		t.Fatalf("incremental stats = %+v", st2)
-	}
-
-	// Cross-kind numeric identity: Int(2) and Float(2) hash equal, so
-	// they count as one distinct value — consistent with Equal.
-	r.AddValues(value.Float(2), value.Null)
-	if st3 := r.Stats(); st3.Distinct[0] != 3 {
-		t.Fatalf("numeric-kind distinct = %d", st3.Distinct[0])
-	}
-
-	// Structural mutation forces a rebuild with correct results.
-	r.RemoveAt(0)
-	st4 := r.Stats()
-	if st4.Rows != 4 || st4.Distinct[0] != 2 {
-		t.Fatalf("post-remove stats = %+v", st4)
 	}
 }
 

@@ -21,13 +21,8 @@ type Relation struct {
 	// version counts mutations (every Add bumps it), so caches keyed
 	// on relation state can detect staleness without rehashing content.
 	version uint64
-	// structMut counts non-append mutations (RemoveAt, InsertAt,
-	// SortByKey); statistics can be extended incrementally only while
-	// it is unchanged. See stats.go.
-	structMut uint64
-	// cache holds version-keyed derived state (statistics, columnar
-	// view); see stats.go.
-	cache atomic.Pointer[statsCache]
+	// cache holds the version-keyed columnar view; see columns.go.
+	cache atomic.Pointer[columnCache]
 }
 
 // New creates an empty relation over the scheme.
@@ -78,7 +73,6 @@ func (r *Relation) RemoveAt(i int) Tuple {
 	t := r.tuples[i]
 	r.tuples = append(r.tuples[:i], r.tuples[i+1:]...)
 	r.version++
-	r.structMut++
 	return t
 }
 
@@ -93,7 +87,6 @@ func (r *Relation) InsertAt(i int, t Tuple) {
 	copy(r.tuples[i+1:], r.tuples[i:])
 	r.tuples[i] = t
 	r.version++
-	r.structMut++
 }
 
 // IndexOf returns the position of the first tuple Equal to t, or -1.
@@ -242,7 +235,6 @@ func (r *Relation) Clone() *Relation {
 	out := New(r.Name, r.scheme)
 	out.tuples = append([]Tuple(nil), r.tuples...)
 	out.version = r.version
-	out.structMut = r.structMut
 	return out
 }
 
@@ -283,7 +275,6 @@ func (r *Relation) SortByKey() {
 	}
 	// Tuple order changed without a version bump, so the derived-state
 	// cache (columnar view) cannot detect staleness by version alone.
-	r.structMut++
 	r.invalidateDerived()
 }
 

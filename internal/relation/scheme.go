@@ -21,14 +21,24 @@ type Scheme struct {
 // NewScheme constructs a Scheme from qualified attribute names. It
 // panics on duplicates: schemes model sets of attributes.
 func NewScheme(names ...string) *Scheme {
+	s, err := SchemeFrom(names)
+	if err != nil {
+		panic(err.Error())
+	}
+	return s
+}
+
+// SchemeFrom is NewScheme for names read from outside the program
+// (snapshots, journals): a repeated name is an error, not a panic.
+func SchemeFrom(names []string) (*Scheme, error) {
 	s := &Scheme{names: append([]string(nil), names...), index: make(map[string]int, len(names))}
 	for i, n := range names {
 		if _, dup := s.index[n]; dup {
-			panic(fmt.Sprintf("relation: duplicate attribute %q in scheme", n))
+			return nil, fmt.Errorf("relation: duplicate attribute %q in scheme", n)
 		}
 		s.index[n] = i
 	}
-	return s
+	return s, nil
 }
 
 // Arity returns the number of attributes.

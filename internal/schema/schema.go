@@ -44,6 +44,34 @@ func NewRelation(name string, attrs ...Attribute) *Relation {
 	return &Relation{Name: name, Base: name, Attrs: attrs}
 }
 
+// ParseRelationSpec parses a relation scheme written
+// "Name(attr, attr, ...)", the form a target is given in. It refuses a
+// spec without a name or attributes, and one that repeats an
+// attribute, naming it.
+func ParseRelationSpec(spec string) (*Relation, error) {
+	open := strings.IndexByte(spec, '(')
+	if open < 0 || !strings.HasSuffix(spec, ")") {
+		return nil, fmt.Errorf("schema: bad relation spec %q (want Name(attr, ...))", spec)
+	}
+	name := strings.TrimSpace(spec[:open])
+	var attrs []Attribute
+	seen := map[string]bool{}
+	for _, a := range strings.Split(spec[open+1:len(spec)-1], ",") {
+		if a = strings.TrimSpace(a); a == "" {
+			continue
+		}
+		if seen[a] {
+			return nil, fmt.Errorf("schema: relation spec %q repeats attribute %q", spec, a)
+		}
+		seen[a] = true
+		attrs = append(attrs, Attribute{Name: a})
+	}
+	if name == "" || len(attrs) == 0 {
+		return nil, fmt.Errorf("schema: bad relation spec %q (want Name(attr, ...))", spec)
+	}
+	return NewRelation(name, attrs...), nil
+}
+
 // IsCopy reports whether r is an aliased copy of another relation.
 func (r *Relation) IsCopy() bool { return r.Base != r.Name }
 

@@ -204,3 +204,27 @@ func TestStringRendering(t *testing.T) {
 		}
 	}
 }
+
+func TestParseRelationSpec(t *testing.T) {
+	cases := []struct {
+		spec, want, err string // want is the rendered scheme; err a substring of the error
+	}{
+		{spec: "T(a, b)", want: "T(a, b)"},
+		{spec: " Kids ( ID,name ,, age)", want: "Kids(ID, name, age)"},
+		{spec: "T", err: "bad relation spec"},
+		{spec: "(a, b)", err: "bad relation spec"},
+		{spec: "T( , )", err: "bad relation spec"},
+		{spec: "T(a, b, a)", err: `repeats attribute "a"`},
+	}
+	for _, c := range cases {
+		r, err := ParseRelationSpec(c.spec)
+		switch {
+		case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)):
+			t.Errorf("ParseRelationSpec(%q) error = %v, want one containing %q", c.spec, err, c.err)
+		case c.err == "" && err != nil:
+			t.Errorf("ParseRelationSpec(%q): %v", c.spec, err)
+		case c.err == "" && r.String() != c.want:
+			t.Errorf("ParseRelationSpec(%q) = %s, want %s", c.spec, r, c.want)
+		}
+	}
+}

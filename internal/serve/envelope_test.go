@@ -54,6 +54,7 @@ func TestAllEndpointsErrorEnvelopes(t *testing.T) {
 		{"healthz", "GET", "/healthz", "", http.StatusOK},
 		{"stats", "GET", "/api/stats", "", http.StatusOK},
 		{"session_create_malformed", "POST", "/api/sessions", malformed, http.StatusBadRequest},
+		{"session_create_repeated_target_attr", "POST", "/api/sessions", `{"source":"paper","target":"T(a, a)"}`, http.StatusBadRequest},
 		{"session_list", "GET", "/api/sessions", "", http.StatusOK},
 		{"session_delete_missing", "DELETE", "/api/sessions/nope", "", http.StatusNotFound},
 		{"session_archived", "GET", "/api/sessions/archived", "", http.StatusOK},

@@ -10,7 +10,6 @@ import (
 	"clio/internal/fd"
 	"clio/internal/paperdb"
 	"clio/internal/render"
-	"clio/internal/schema"
 	"clio/internal/workspace"
 )
 
@@ -73,25 +72,6 @@ func (s *Server) opHandler(op string) handlerFunc {
 			return out, nil
 		})
 	}
-}
-
-// parseTargetSpec parses "Name(attr, attr, ...)".
-func parseTargetSpec(spec string) (*schema.Relation, error) {
-	open := strings.IndexByte(spec, '(')
-	if open < 0 || !strings.HasSuffix(spec, ")") {
-		return nil, badRequest("bad target spec %q (want Name(attr, ...))", spec)
-	}
-	name := strings.TrimSpace(spec[:open])
-	var attrs []schema.Attribute
-	for _, a := range strings.Split(spec[open+1:len(spec)-1], ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			attrs = append(attrs, schema.Attribute{Name: a})
-		}
-	}
-	if name == "" || len(attrs) == 0 {
-		return nil, badRequest("bad target spec %q (want Name(attr, ...))", spec)
-	}
-	return schema.NewRelation(name, attrs...), nil
 }
 
 func (s *Server) handleCreateSession(ctx context.Context, r *http.Request) (any, error) {

@@ -236,6 +236,53 @@ func TestChaosSnapshotWriteFaultKeepsServing(t *testing.T) {
 	}
 }
 
+// A CRC-valid snapshot whose D(G) names one column twice must not stop
+// the server from booting: the snapshot restore fails, is logged, and
+// the session keeps the state the records before it produced. Building
+// the scheme used to panic in New, before the server listened.
+func TestReplaySurvivesSnapshotWithRepeatedColumn(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{JournalDir: dir, SnapshotEvery: 2}
+	s1 := New(cfg)
+	ts1 := httptest.NewServer(s1.Handler())
+	id := newPaperSession(t, ts1)
+	driveOps(t, ts1, id, 2)
+	ts1.Close()
+
+	path := workspace.JournalPath(dir, id)
+	recs, _, err := workspace.ReadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crafted := false
+	for i, rec := range recs {
+		if rec.Kind != "snapshot" {
+			continue
+		}
+		var snap sessionSnapshot
+		if err := json.Unmarshal(rec.Args, &snap); err != nil {
+			t.Fatal(err)
+		}
+		for w := range snap.Tool.Workspaces {
+			snap.Tool.Workspaces[w].DG = &workspace.DGState{Name: "D", Scheme: []string{"x", "x"}}
+		}
+		if recs[i].Args, err = json.Marshal(snap); err != nil {
+			t.Fatal(err)
+		}
+		crafted = len(snap.Tool.Workspaces) > 0
+	}
+	if !crafted {
+		t.Fatal("the journal holds no snapshot with a workspace to corrupt")
+	}
+	// ResumeJournal rewrites the file with fresh CRCs.
+	workspace.ResumeJournal(dir, id, recs, workspace.JournalOptions{}).Close()
+
+	s2 := New(cfg)
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	mustCall(t, ts2, "GET", "/api/sessions/"+id+"/workspaces", nil)
+}
+
 // A failing archive move keeps the session fully live (expiring it
 // would orphan the journal); the next reap pass retires it once the
 // move succeeds.

@@ -61,10 +61,6 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 			"misses":    misses,
 			"hit_ratio": ratio,
 		},
-		"planner": map[string]any{
-			"plans":     obs.GetCounter("fd.planner.plans").Value(),
-			"reordered": obs.GetCounter("fd.planner.reordered").Value(),
-		},
 	}
 	if s.traces != nil {
 		body["traces_retained"] = s.traces.Len()
@@ -165,9 +161,6 @@ func (s *Server) handleExplain(ctx context.Context, r *http.Request) (any, error
 		}
 		if res.Root != nil {
 			body["plan"] = obs.ToSpanJSON(res.Root)
-		}
-		if res.Planner != nil {
-			body["planner"] = res.Planner
 		}
 		return body, nil
 	})

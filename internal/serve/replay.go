@@ -14,6 +14,7 @@ import (
 	"clio/internal/csvio"
 	"clio/internal/obs"
 	"clio/internal/paperdb"
+	"clio/internal/schema"
 	"clio/internal/value"
 	"clio/internal/workspace"
 )
@@ -98,9 +99,9 @@ func (s *Server) initSession(ctx context.Context, sess *Session, args json.RawMe
 		}
 		sess.target = paperdb.Kids()
 	default:
-		t, err := parseTargetSpec(tgt)
+		t, err := schema.ParseRelationSpec(tgt)
 		if err != nil {
-			return nil, err
+			return nil, badRequest("%v", err)
 		}
 		sess.target = t
 	}

@@ -154,7 +154,11 @@ func restoreTuple(names []string, vals []ValueState) (relation.Tuple, error) {
 		}
 		vv[i] = v
 	}
-	return relation.NewTuple(relation.NewScheme(names...), vv...), nil
+	sch, err := relation.SchemeFrom(names)
+	if err != nil {
+		return relation.Tuple{}, err
+	}
+	return relation.NewTuple(sch, vv...), nil
 }
 
 func dgState(r *relation.Relation) *DGState {
@@ -176,7 +180,10 @@ func restoreDG(st *DGState) (*relation.Relation, error) {
 	if st == nil {
 		return nil, nil
 	}
-	sch := relation.NewScheme(st.Scheme...)
+	sch, err := relation.SchemeFrom(st.Scheme)
+	if err != nil {
+		return nil, err
+	}
 	r := relation.New(st.Name, sch)
 	for _, row := range st.Rows {
 		if len(row) != len(st.Scheme) {

@@ -1,8 +1,10 @@
 package workspace
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"clio/internal/core"
@@ -11,28 +13,38 @@ import (
 	"clio/internal/value"
 )
 
+// sessionTool drives a tool through a correspondence, a walk, a
+// confirm and a chase, so its state has workspaces with D(G)s and
+// examples, an accepted mapping, undo history and an op log.
+func sessionTool(tb testing.TB) *Tool {
+	tb.Helper()
+	ctx := context.Background()
+	tl := newTool(tb)
+	if err := tl.Start("kids"); err != nil {
+		tb.Fatal(err)
+	}
+	if err := tl.AddCorrespondence(ctx, core.Identity("Children.ID", schema.Col("Kids", "ID"))); err != nil {
+		tb.Fatal(err)
+	}
+	if err := tl.Walk(ctx, "Children", "PhoneDir"); err != nil {
+		tb.Fatal(err)
+	}
+	if err := tl.Confirm(); err != nil {
+		tb.Fatal(err)
+	}
+	if err := tl.Chase(ctx, "Children.ID", value.String("002")); err != nil {
+		tb.Fatal(err)
+	}
+	return tl
+}
+
 // SnapshotState/RestoreState must round-trip a session exactly: a tool
 // rebuilt from the serialized state renders the same canonical op log,
 // the same workspace set, and the same target view — and stays fully
 // live (undo history, further operators).
 func TestToolStateRoundTrip(t *testing.T) {
 	ctx := context.Background()
-	tl := newTool(t)
-	if err := tl.Start("kids"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tl.AddCorrespondence(ctx, core.Identity("Children.ID", schema.Col("Kids", "ID"))); err != nil {
-		t.Fatal(err)
-	}
-	if err := tl.Walk(ctx, "Children", "PhoneDir"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tl.Confirm(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tl.Chase(ctx, "Children.ID", value.String("002")); err != nil {
-		t.Fatal(err)
-	}
+	tl := sessionTool(t)
 
 	st, err := tl.SnapshotState()
 	if err != nil {
@@ -151,3 +163,80 @@ func TestValueStateExactRoundTrip(t *testing.T) {
 }
 
 var _ = paperdb.Instance // keep the import used if helpers move
+
+// A state that names one attribute twice, in a D(G) scheme or in an
+// example's association scheme, is refused with an error instead of a
+// panic: restore reads journal bytes, and a panic there stops a
+// journaled server from booting.
+func TestRestoreStateRejectsRepeatedNames(t *testing.T) {
+	st, err := sessionTool(t).SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := st.Workspaces[0]
+	if ws.DG == nil || len(ws.Illustration.Examples) == 0 || len(ws.Illustration.Examples[0].AssocScheme) < 2 {
+		t.Fatal("the first workspace has no D(G) or no example to corrupt")
+	}
+	dg := st
+	dg.Workspaces = append([]WorkspaceState(nil), st.Workspaces...)
+	dg.Workspaces[0].DG = &DGState{Name: "D", Scheme: []string{"x", "x"}}
+
+	ex := st
+	ex.Workspaces = append([]WorkspaceState(nil), st.Workspaces...)
+	exs := append([]ExampleState(nil), ws.Illustration.Examples...)
+	names := make([]string, len(exs[0].AssocScheme))
+	for i := range names {
+		names[i] = "Children.ID"
+	}
+	exs[0].AssocScheme = names
+	ex.Workspaces[0].Illustration = IllustrationState{Examples: exs}
+
+	for name, bad := range map[string]ToolState{"dg scheme": dg, "assocScheme": ex} {
+		err := newTool(t).RestoreState(bad)
+		if err == nil || !strings.Contains(err.Error(), "duplicate attribute") {
+			t.Errorf("%s: RestoreState error = %v, want a repeated-attribute error", name, err)
+		}
+	}
+}
+
+// FuzzRestoreState checks snapshot restore, which decodes journal
+// bytes. No state makes RestoreState panic, and the snapshot of a tool
+// restored from an accepted state restores again to an equal snapshot.
+func FuzzRestoreState(f *testing.F) {
+	st, err := sessionTool(f).SnapshotState()
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed, err := json.Marshal(st)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var st ToolState
+		if json.Unmarshal(data, &st) != nil {
+			return
+		}
+		tl := newTool(t)
+		if tl.RestoreState(st) != nil {
+			return
+		}
+		snap, err := tl.SnapshotState()
+		if err != nil {
+			t.Fatalf("SnapshotState of a restored tool: %v", err)
+		}
+		again := newTool(t)
+		if err := again.RestoreState(snap); err != nil {
+			t.Fatalf("a restored tool's snapshot does not restore: %v", err)
+		}
+		snap2, err := again.SnapshotState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, errA := json.Marshal(snap)
+		b, errB := json.Marshal(snap2)
+		if errA != nil || errB != nil || !bytes.Equal(a, b) {
+			t.Fatalf("snapshot changed on a restore (%v, %v):\n%s\n%s", errA, errB, a, b)
+		}
+	})
+}

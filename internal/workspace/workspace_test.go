@@ -15,7 +15,7 @@ import (
 	"clio/internal/value"
 )
 
-func newTool(t *testing.T) *Tool {
+func newTool(t testing.TB) *Tool {
 	t.Helper()
 	return New(context.Background(), paperdb.Instance(), paperdb.Kids(), false)
 }

@@ -99,23 +99,18 @@ case "$OUT" in
     *) fail "metrics missing latency quantiles: $OUT" ;;
 esac
 
-# /statusz reports the server live (not draining) with cache stats and
-# the cost-based planner's counters.
+# /statusz reports the server live (not draining) with cache stats.
 OUT=$(curl -sf "$BASE/statusz") || fail "statusz failed"
 case "$OUT" in *'"draining":false'*) ;; *) fail "statusz not live: $OUT" ;; esac
 case "$OUT" in *'"hit_ratio"'*) ;; *) fail "statusz missing cache block: $OUT" ;; esac
-case "$OUT" in *'"planner"'*) ;; *) fail "statusz missing planner block: $OUT" ;; esac
 
-# explain on the mapped session names the picked algorithm, the
-# executed plan tree, and the planner block: chosen join order,
-# per-step estimated rows, and stats freshness.
+# explain on the mapped session names the picked algorithm and the
+# executed plan tree, whose join spans report the rows they produced.
 OUT=$(curl -sf "$BASE/api/sessions/$SID/explain") || fail "explain failed"
 case "$OUT" in *'"algo"'*) ;; *) fail "explain missing algo: $OUT" ;; esac
 case "$OUT" in *'"plan"'*) ;; *) fail "explain missing plan tree: $OUT" ;; esac
-case "$OUT" in *'"planner"'*) ;; *) fail "explain missing planner block: $OUT" ;; esac
-case "$OUT" in *'"order"'*) ;; *) fail "explain planner missing join order: $OUT" ;; esac
-case "$OUT" in *'"est_rows"'*) ;; *) fail "explain planner missing est_rows: $OUT" ;; esac
-case "$OUT" in *'"fresh"'*) ;; *) fail "explain planner missing stats freshness: $OUT" ;; esac
+printf '%s' "$OUT" | grep -q '"name":"op.join","dur_us":[0-9]*,"attrs":{[^{}]*"rows":' ||
+    fail "explain plan has no op.join span with rows: $OUT"
 
 # Every response carries a trace ID, and that ID resolves in the
 # retained-trace buffer.
