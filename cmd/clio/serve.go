@@ -27,8 +27,7 @@ func parseServeConfig(args []string) (serve.Config, time.Duration, error) {
 	mine := fs.Bool("mine", false, "mine inclusion dependencies when sessions start")
 	journalDir := fs.String("journal-dir", "", "crash-safe sessions: journal every session here and replay on boot (empty disables)")
 	journalFsync := fs.Int("journal-fsync", 1, "fsync the journal after every Nth append")
-	journalCompact := fs.Int("journal-compact", 64, "compact a session journal after every Nth op (negative disables)")
-	snapshotEvery := fs.Int("snapshot-every", 0, "journal a full session-state snapshot every Nth op, bounding replay cost (0 disables; needs -journal-dir)")
+	snapshotEvery := fs.Int("snapshot-every", 0, "journal a session-state snapshot every Nth op, bounding replay cost (0 = the server default, 64; negative disables; needs -journal-dir)")
 	idleTTL := fs.Duration("idle-ttl", 0, "tombstone sessions idle longer than this into the archive (0 disables; needs -journal-dir)")
 	archiveDir := fs.String("archive-dir", "", "directory for tombstoned session journals (default <journal-dir>/archive)")
 	maxRows := fs.Int64("max-rows", 0, "per-request row budget; exceeding answers 413 (0 = unlimited)")
@@ -88,23 +87,22 @@ func parseServeConfig(args []string) (serve.Config, time.Duration, error) {
 	}
 
 	cfg := serve.Config{
-		Addr:                *addr,
-		RequestTimeout:      *timeout,
-		MaxInFlight:         *maxInFlight,
-		CacheCapacity:       *cacheCap,
-		MineINDs:            *mine,
-		JournalDir:          *journalDir,
-		JournalFsyncEvery:   *journalFsync,
-		JournalCompactEvery: *journalCompact,
-		SnapshotEvery:       *snapshotEvery,
-		IdleTTL:             *idleTTL,
-		ArchiveDir:          *archiveDir,
-		Budget:              fd.Budget{MaxRows: *maxRows, MaxBytes: *maxBytes, SpillDir: *spillDir, MaxSpillBytes: *maxSpillBytes, SpillRecursionDepth: recursionDepth},
-		SessionBudget:       fd.Budget{MaxRows: *sessionMaxRows, MaxBytes: *sessionMaxBytes},
-		SessionRPS:          *sessionRPS,
-		RetryAfter:          *retryAfter,
-		SlowThreshold:       time.Duration(*slowMS) * time.Millisecond,
-		TraceBufferSize:     *traceBuffer,
+		Addr:              *addr,
+		RequestTimeout:    *timeout,
+		MaxInFlight:       *maxInFlight,
+		CacheCapacity:     *cacheCap,
+		MineINDs:          *mine,
+		JournalDir:        *journalDir,
+		JournalFsyncEvery: *journalFsync,
+		SnapshotEvery:     *snapshotEvery,
+		IdleTTL:           *idleTTL,
+		ArchiveDir:        *archiveDir,
+		Budget:            fd.Budget{MaxRows: *maxRows, MaxBytes: *maxBytes, SpillDir: *spillDir, MaxSpillBytes: *maxSpillBytes, SpillRecursionDepth: recursionDepth},
+		SessionBudget:     fd.Budget{MaxRows: *sessionMaxRows, MaxBytes: *sessionMaxBytes},
+		SessionRPS:        *sessionRPS,
+		RetryAfter:        *retryAfter,
+		SlowThreshold:     time.Duration(*slowMS) * time.Millisecond,
+		TraceBufferSize:   *traceBuffer,
 	}
 	if *accessLog {
 		cfg.AccessLog = os.Stderr

@@ -96,6 +96,7 @@ func TestParseServeConfigRejectsBadCombos(t *testing.T) {
 		{"negative_idle_ttl", []string{"-journal-dir", "/tmp/j", "-idle-ttl", "-1s"}, "-idle-ttl must be >= 0"},
 		{"negative_session_rps", []string{"-session-rps", "-1"}, "-session-rps must be >= 0"},
 		{"unknown_flag", []string{"-no-such-flag"}, "flag provided but not defined"},
+		{"journal_compact_removed", []string{"-journal-dir", "/tmp/j", "-journal-compact", "8"}, "flag provided but not defined: -journal-compact"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -16,11 +16,13 @@ import (
 // sessions and unboundedly long journals forever. Two mechanisms bound
 // them:
 //
-//   - Snapshot compaction: after every cfg.SnapshotEvery ops the
-//     session's canonical state (tool state + row inserts) is written
-//     into the journal as a "snapshot" record and the ops it
-//     supersedes are discarded, so crash replay costs at most
-//     ops-since-last-snapshot.
+//   - Snapshot compaction, the journal's only compaction: after every
+//     cfg.SnapshotEvery ops (default 64) the session's state that
+//     cannot be recomputed (tool state without D(G)s, plus the row
+//     edits since creation) is written into the journal as a
+//     "snapshot" record and the records it supersedes are discarded,
+//     so crash replay costs at most ops-since-last-snapshot plus the
+//     row edits the snapshot carries.
 //
 //   - Idle expiry: a reaper goroutine tombstones sessions idle past
 //     cfg.IdleTTL — final snapshot, journal moved to the archive
@@ -30,7 +32,7 @@ import (
 //     the archived journal back to live, byte-identically.
 
 // sessionSnapshot is the payload of a journal "snapshot" record: the
-// row inserts applied since creation (verbatim, replayed through the
+// row edits applied since creation (verbatim, replayed through the
 // normal dispatcher) and the tool's canonical state.
 type sessionSnapshot struct {
 	RowOps []json.RawMessage   `json:"rowOps,omitempty"`

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 
 	"clio/internal/fault"
 	"clio/internal/fd"
+	"clio/internal/obs"
 	"clio/internal/workspace"
 )
 
@@ -236,10 +238,11 @@ func TestChaosSnapshotWriteFaultKeepsServing(t *testing.T) {
 	}
 }
 
-// A CRC-valid snapshot whose D(G) names one column twice must not stop
-// the server from booting: the snapshot restore fails, is logged, and
-// the session keeps the state the records before it produced. Building
-// the scheme used to panic in New, before the server listened.
+// A CRC-valid snapshot whose examples name one column twice in their
+// association scheme must not stop the server from booting: the
+// snapshot restore fails, is logged, and the session keeps the state
+// the create record produced. Building the scheme used to panic in
+// New, before the server listened.
 func TestReplaySurvivesSnapshotWithRepeatedColumn(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{JournalDir: dir, SnapshotEvery: 2}
@@ -263,16 +266,20 @@ func TestReplaySurvivesSnapshotWithRepeatedColumn(t *testing.T) {
 		if err := json.Unmarshal(rec.Args, &snap); err != nil {
 			t.Fatal(err)
 		}
-		for w := range snap.Tool.Workspaces {
-			snap.Tool.Workspaces[w].DG = &workspace.DGState{Name: "D", Scheme: []string{"x", "x"}}
+		for _, ws := range snap.Tool.Workspaces {
+			for _, ex := range ws.Illustration.Examples {
+				for c := range ex.AssocScheme {
+					ex.AssocScheme[c] = "x"
+				}
+				crafted = crafted || len(ex.AssocScheme) > 1
+			}
 		}
 		if recs[i].Args, err = json.Marshal(snap); err != nil {
 			t.Fatal(err)
 		}
-		crafted = len(snap.Tool.Workspaces) > 0
 	}
 	if !crafted {
-		t.Fatal("the journal holds no snapshot with a workspace to corrupt")
+		t.Fatal("the journal holds no snapshot with an example to corrupt")
 	}
 	// ResumeJournal rewrites the file with fresh CRCs.
 	workspace.ResumeJournal(dir, id, recs, workspace.JournalOptions{}).Close()
@@ -281,6 +288,73 @@ func TestReplaySurvivesSnapshotWithRepeatedColumn(t *testing.T) {
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
 	mustCall(t, ts2, "GET", "/api/sessions/"+id+"/workspaces", nil)
+}
+
+// A server given only a journal directory snapshots every session
+// after 64 ops, the default interval, and the snapshot carries no D(G).
+func TestJournalDefaultSnapshotEvery64Ops(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{JournalDir: dir})
+	id := newPaperSession(t, ts)
+	driveOps(t, ts, id, 63)
+	if total, kinds := countKinds(t, dir, id); total != 64 || kinds["snapshot"] != 0 {
+		t.Fatalf("after 63 ops: %d records %v, want create + 63 ops and no snapshot", total, kinds)
+	}
+	mustCall(t, ts, "POST", "/api/sessions/"+id+"/rows",
+		map[string]any{"relation": "Children", "values": []string{"999", "Kid999", "9", "800", "801", "d9"}})
+	recs, _, err := workspace.ReadJournal(workspace.JournalPath(dir, id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || recs[0].Kind != "create" || recs[1].Kind != "snapshot" {
+		t.Fatalf("after 64 ops the journal holds %d records, want create and snapshot", len(recs))
+	}
+	if bytes.Contains(recs[1].Args, []byte(`"dg":`)) {
+		t.Error(`the snapshot record carries a "dg" key`)
+	}
+}
+
+// Replaying a journal of create, snapshot and one op builds the session
+// once: the snapshot restores onto the session the create record built.
+func TestReplayBuildsSnapshottedSessionOnce(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{JournalDir: dir, SnapshotEvery: 2}
+	s1 := New(cfg)
+	ts1 := httptest.NewServer(s1.Handler())
+	id := newPaperSession(t, ts1)
+	driveOps(t, ts1, id, 3)
+	want := sessionFingerprint(t, s1, ts1, id)
+	ts1.Close()
+	recs, _, err := workspace.ReadJournal(workspace.JournalPath(dir, id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 3 || recs[1].Kind != "snapshot" || recs[2].Kind != "op" {
+		t.Fatalf("journal holds %d records, want create, snapshot, op", len(recs))
+	}
+
+	col := &obs.CollectExporter{}
+	prev := obs.CurrentExporter()
+	obs.SetExporter(col)
+	defer obs.SetExporter(prev)
+	s2 := New(cfg) // replays before it returns
+	builds := 0
+	for _, root := range col.Roots() {
+		if root.Name == "workspace.new" {
+			builds++
+		}
+	}
+	if builds != 1 {
+		t.Errorf("replay built the session %d times, want 1", builds)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	got := sessionFingerprint(t, s2, ts2, id)
+	for _, key := range []string{"oplog", "view", "status"} {
+		if got[key] != want[key] {
+			t.Errorf("replayed session differs in %s:\n--- want\n%v\n--- got\n%v", key, want[key], got[key])
+		}
+	}
 }
 
 // A failing archive move keeps the session fully live (expiring it

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -83,6 +84,37 @@ func TestMetricsEndpointPrometheusFormat(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestMetricsReportJournalHistograms: after a journaled session passes
+// a snapshot, /metrics reports the journal's append and fsync latency
+// and its snapshot size, each counting what this session did.
+func TestMetricsReportJournalHistograms(t *testing.T) {
+	names := []string{"clio.journal.append.ns", "clio.journal.fsync.ns", "clio.journal.snapshot.bytes"}
+	before := map[string]int64{}
+	for _, name := range names {
+		before[name] = obs.GetHistogram(name).Count()
+	}
+	_, ts := newTestServer(t, Config{JournalDir: t.TempDir(), SnapshotEvery: 2})
+	id := newPaperSession(t, ts)
+	driveOps(t, ts, id, 2)
+
+	resp := get(t, ts, "/metrics")
+	defer resp.Body.Close()
+	var body bytes.Buffer
+	body.ReadFrom(resp.Body)
+	for _, name := range names {
+		m := obs.PromName(name)
+		var count int64
+		for _, line := range strings.Split(body.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, m+"_count "); ok {
+				count, _ = strconv.ParseInt(v, 10, 64)
+			}
+		}
+		if count <= before[name] {
+			t.Errorf("/metrics %s_count = %d, want more than the %d before the session", m, count, before[name])
 		}
 	}
 }

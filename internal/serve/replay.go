@@ -287,10 +287,12 @@ func (s *Server) replayJournals() {
 }
 
 // replaySession restores one session from its journal: re-execute the
-// create record, then every op record, through the live dispatcher.
-// Corrupt records were already skipped (and counted) by ReadJournal;
-// an op that no longer applies is logged and skipped rather than
-// abandoning the rest of the session.
+// create record, install the last snapshot, then re-execute every op
+// record after it, through the live dispatcher. The last snapshot
+// supersedes every record between it and the create record, so the
+// session is built once. Corrupt records were already skipped (and
+// counted) by ReadJournal; a snapshot or op that no longer applies is
+// logged and skipped rather than abandoning the rest of the session.
 func (s *Server) replaySession(id string) {
 	path := workspace.JournalPath(s.cfg.JournalDir, id)
 	recs, corrupt, err := workspace.ReadJournal(path)
@@ -309,24 +311,24 @@ func (s *Server) replaySession(id string) {
 	// records are distinguishable from live-request ops (which carry
 	// the originating request's ID) and never collide with one.
 	ctx := obs.WithTraceID(context.Background(), "replay-"+obs.NewTraceID())
-	createArgs := recs[0].Args
-	if _, err := s.initSession(ctx, sess, createArgs); err != nil {
+	if _, err := s.initSession(ctx, sess, recs[0].Args); err != nil {
 		s.dropSession(id)
 		cReplayFailures.Inc()
 		fmt.Fprintf(os.Stderr, "warn: journal %s: create replay failed: %v\n", id, err)
 		return
 	}
-	for _, rec := range recs[1:] {
+	from := 1
+	for i := len(recs) - 1; i > 0; i-- {
+		if recs[i].Kind == "snapshot" {
+			from = i
+			break
+		}
+	}
+	for _, rec := range recs[from:] {
 		switch rec.Kind {
 		case "snapshot":
-			// A snapshot supersedes everything before it: rebuild the
-			// session from scratch (fresh instance, knowledge, index),
-			// then install the snapshotted state. Failure falls back
-			// to whatever state the records so far produced.
-			if _, err := s.initSession(ctx, sess, createArgs); err != nil {
-				fmt.Fprintf(os.Stderr, "warn: journal %s: snapshot re-init failed: %v\n", id, err)
-				continue
-			}
+			// A failed restore is logged; the ops after the snapshot
+			// still apply to the session as the restore left it.
 			if err := s.restoreFromSnapshot(ctx, sess, rec.Args); err != nil {
 				fmt.Fprintf(os.Stderr, "warn: journal %s: snapshot restore failed: %v\n", id, err)
 				continue

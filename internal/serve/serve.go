@@ -75,13 +75,11 @@ type Config struct {
 	// JournalFsyncEvery fsyncs the journal after every Nth append
 	// (default 1 = every append).
 	JournalFsyncEvery int
-	// JournalCompactEvery compacts a session journal after every Nth
-	// op record (default 64; negative disables).
-	JournalCompactEvery int
-	// SnapshotEvery writes a full session-state snapshot into the
-	// journal after every Nth op and discards the ops it supersedes,
-	// bounding replay cost by ops-since-last-snapshot. Zero disables.
-	// Requires JournalDir.
+	// SnapshotEvery writes a session-state snapshot into the journal
+	// after every Nth op and discards the records it supersedes,
+	// bounding replay cost by ops-since-last-snapshot; it is the
+	// journal's only compaction. Zero means 64; negative disables, and
+	// the journal then grows with every op. Needs JournalDir.
 	SnapshotEvery int
 	// IdleTTL tombstones sessions idle longer than this: a final
 	// snapshot is taken, the journal moves to the archive directory,
@@ -136,10 +134,9 @@ func (c Config) withDefaults() Config {
 	if c.CacheCapacity == 0 {
 		c.CacheCapacity = 64
 	}
-	if c.JournalCompactEvery == 0 {
-		// The serve-level default stays 64 (negative disables); the
-		// journal itself treats zero as disabled.
-		c.JournalCompactEvery = 64
+	if c.SnapshotEvery == 0 {
+		// The journal itself treats zero as disabled.
+		c.SnapshotEvery = 64
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
@@ -154,17 +151,9 @@ func (c Config) withDefaults() Config {
 }
 
 // journalOptions translates the config into per-session journal
-// options. The foldable set lists exactly the ops whose single undo
-// snapshot lets (op, undo) pairs cancel during compaction; "corr" is
-// excluded because a correspondence on an already-mapped attribute
-// auto-confirms first and snapshots twice.
+// options.
 func (c Config) journalOptions() workspace.JournalOptions {
-	return workspace.JournalOptions{
-		FsyncEvery:    c.JournalFsyncEvery,
-		CompactEvery:  c.JournalCompactEvery,
-		SnapshotEvery: c.SnapshotEvery,
-		Foldable:      []string{"walk", "chase", "filter", "accept"},
-	}
+	return workspace.JournalOptions{FsyncEvery: c.JournalFsyncEvery, SnapshotEvery: c.SnapshotEvery}
 }
 
 // Session is one tool instance owned by the server. Its lock

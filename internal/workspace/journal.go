@@ -38,16 +38,24 @@ import (
 // persistent failure the journal degrades to memory-only — the
 // session keeps serving, the clio.journal.degraded gauge rises, and a
 // warning names the session.
+//
+// The journal's only compaction is the snapshot: the owner serializes
+// its state and Snapshot rewrites the file to [create, snapshot].
 
 // Journal instrumentation.
 var (
 	cJournalAppends   = obs.GetCounter("clio.journal.appends")
 	cJournalRetries   = obs.GetCounter("clio.journal.retries")
 	cJournalCorrupt   = obs.GetCounter("clio.journal.corrupt_records")
-	cJournalCompacts  = obs.GetCounter("clio.journal.compactions")
 	cJournalSnapshots = obs.GetCounter("clio.journal.snapshots")
 	cJournalArchived  = obs.GetCounter("clio.journal.archived")
 	gJournalDegraded  = obs.GetGauge("clio.journal.degraded")
+	// hJournalAppendNS times one successful append, write and fsync
+	// together; hJournalFsyncNS one fsync; hJournalSnapshotBytes is the
+	// payload of each snapshot that took effect.
+	hJournalAppendNS      = obs.GetHistogram("clio.journal.append.ns")
+	hJournalFsyncNS       = obs.GetHistogram("clio.journal.fsync.ns")
+	hJournalSnapshotBytes = obs.GetHistogram("clio.journal.snapshot.bytes")
 )
 
 // JournalRecord is one durable entry: a session's creation parameters
@@ -74,23 +82,12 @@ type JournalOptions struct {
 	// the default; larger trades durability of the last N-1 ops for
 	// throughput).
 	FsyncEvery int
-	// CompactEvery triggers undo-folding compaction after every Nth
-	// op record. Zero (and any negative value) disables compaction;
-	// owners that want the historical default must ask for 64
-	// explicitly.
-	CompactEvery int
-	// SnapshotEvery arms snapshot-based compaction: once SnapshotDue
-	// reports true (every Nth op record since the last snapshot), the
-	// owner is expected to call Snapshot with its serialized state,
-	// which rewrites the journal to [create, snapshot] so replay cost
-	// is bounded by ops-since-last-snapshot instead of total history.
-	// Zero or negative disables.
+	// SnapshotEvery arms compaction: once SnapshotDue reports true
+	// (every Nth op record since the last snapshot), the owner is
+	// expected to call Snapshot with its serialized state, which
+	// rewrites the journal to [create, snapshot] so the file holds
+	// at most N+1 records. Zero or negative disables.
 	SnapshotEvery int
-	// Foldable names the ops whose single history snapshot an
-	// immediately following "undo" restores; compaction cancels such
-	// adjacent pairs. Ops that may snapshot more than once (e.g. a
-	// correspondence that auto-confirms) must not be listed.
-	Foldable []string
 
 	// retryAttempts/retryBase override the write-retry schedule in
 	// tests; zero means the defaults (4 attempts, 1ms base).
@@ -116,20 +113,19 @@ func (o JournalOptions) withDefaults() JournalOptions {
 // that cannot write degrades to memory-only instead of failing the
 // session.
 type Journal struct {
-	mu       sync.Mutex
-	id       string
-	path     string
-	opts     JournalOptions
-	foldable map[string]bool
+	mu   sync.Mutex
+	id   string
+	path string
+	opts JournalOptions
 
 	f         *os.File
 	size      int64 // bytes of complete, acknowledged lines
 	unsynced  int   // appends since the last fsync
-	ops       int   // op records since the last compaction
 	sinceSnap int   // op records since the last snapshot record
 	seq       int64 // total appends, drives deterministic jitter
 	degraded  bool
-	recs      []JournalRecord // full surviving record list (compaction input)
+	records   int           // surviving records, the replay length
+	create    JournalRecord // the first record when it is a create (a snapshot keeps it); zero otherwise
 }
 
 // JournalPath returns the journal file for a session ID in dir.
@@ -178,34 +174,31 @@ func ResumeJournal(dir, id string, recs []JournalRecord, opts JournalOptions) *J
 	j := newJournal(dir, id, opts)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.recs = append([]JournalRecord(nil), recs...)
 	for _, r := range recs {
-		switch r.Kind {
-		case "op":
-			j.ops++
-			j.sinceSnap++
-		case "snapshot":
-			j.sinceSnap = 0
-		}
+		j.countLocked(r)
 	}
-	if err := j.rewriteLocked(); err != nil {
+	if err := j.rewriteLocked(recs); err != nil {
 		j.degradeLocked(err)
 	}
 	return j
 }
 
 func newJournal(dir, id string, opts JournalOptions) *Journal {
-	opts = opts.withDefaults()
-	j := &Journal{
-		id:       id,
-		path:     JournalPath(dir, id),
-		opts:     opts,
-		foldable: map[string]bool{},
+	return &Journal{id: id, path: JournalPath(dir, id), opts: opts.withDefaults()}
+}
+
+// countLocked accounts for one more surviving record.
+func (j *Journal) countLocked(rec JournalRecord) {
+	if j.records == 0 && rec.Kind == "create" {
+		j.create = rec
 	}
-	for _, op := range opts.Foldable {
-		j.foldable[op] = true
+	j.records++
+	switch rec.Kind {
+	case "op":
+		j.sinceSnap++
+	case "snapshot":
+		j.sinceSnap = 0
 	}
-	return j
 }
 
 // Append journals one record. Errors never surface: failed writes
@@ -217,11 +210,7 @@ func (j *Journal) Append(rec JournalRecord) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.recs = append(j.recs, rec)
-	if rec.Kind == "op" {
-		j.ops++
-		j.sinceSnap++
-	}
+	j.countLocked(rec)
 	if j.degraded {
 		return
 	}
@@ -231,14 +220,13 @@ func (j *Journal) Append(rec JournalRecord) {
 		return
 	}
 	j.seq++
+	start := time.Now()
 	if err := j.writeRetryLocked(line); err != nil {
 		j.degradeLocked(err)
 		return
 	}
+	hJournalAppendNS.ObserveSince(start)
 	cJournalAppends.Inc()
-	if j.opts.CompactEvery > 0 && j.ops >= j.opts.CompactEvery {
-		j.compactLocked()
-	}
 }
 
 // Degraded reports whether the journal has fallen back to
@@ -301,7 +289,7 @@ func (j *Journal) Records() int {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.recs)
+	return j.records
 }
 
 // SnapshotDue reports whether enough op records accumulated since the
@@ -319,7 +307,7 @@ func (j *Journal) SnapshotDue() bool {
 
 // Snapshot rewrites the journal to its creation record followed by a
 // single snapshot record carrying state (the owner's serialized
-// canonical session state), discarding every op record the snapshot
+// canonical session state), discarding every record the snapshot
 // supersedes. Failure (including an injected fault at
 // "journal.snapshot") leaves the journal untouched and still valid —
 // replay just stays proportional to total history; it reports whether
@@ -330,20 +318,18 @@ func (j *Journal) Snapshot(state json.RawMessage) bool {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.degraded || len(j.recs) == 0 || j.recs[0].Kind != "create" {
+	if j.degraded || j.create.Kind != "create" {
 		return false
 	}
 	if err := fault.Inject("journal.snapshot"); err != nil {
 		return false
 	}
-	old, oldOps, oldSince := j.recs, j.ops, j.sinceSnap
-	j.recs = []JournalRecord{old[0], {Kind: "snapshot", Args: state}}
-	j.ops, j.sinceSnap = 0, 0
-	if err := j.rewriteLocked(); err != nil {
-		j.recs, j.ops, j.sinceSnap = old, oldOps, oldSince
+	if err := j.rewriteLocked([]JournalRecord{j.create, {Kind: "snapshot", Args: state}}); err != nil {
 		return false
 	}
+	j.records, j.sinceSnap = 2, 0
 	cJournalSnapshots.Inc()
+	hJournalSnapshotBytes.Observe(int64(len(state)))
 	return true
 }
 
@@ -502,7 +488,7 @@ func (j *Journal) writeOnceLocked(line []byte) error {
 		if err := fault.Inject("journal.sync"); err != nil {
 			return err
 		}
-		if err := j.f.Sync(); err != nil {
+		if err := fsync(j.f); err != nil {
 			return err
 		}
 		j.unsynced = 0
@@ -524,30 +510,17 @@ func (j *Journal) degradeLocked(cause error) {
 	fmt.Fprintf(os.Stderr, "warn: journal %s degraded to memory-only: %v\n", j.id, cause)
 }
 
-// compactLocked folds cancelling (op, undo) pairs out of the record
-// list and rewrites the file when that shrank it. Compaction failure
-// is not degradation: the uncompacted file is still a valid journal.
-func (j *Journal) compactLocked() {
-	j.ops = 0
-	folded := foldUndo(j.recs, j.foldable)
-	if len(folded) == len(j.recs) {
-		return
-	}
-	if err := fault.Inject("journal.compact"); err != nil {
-		return
-	}
-	old := j.recs
-	j.recs = folded
-	if err := j.rewriteLocked(); err != nil {
-		j.recs = old
-		return
-	}
-	cJournalCompacts.Inc()
+// fsync syncs f, timing it into clio.journal.fsync.ns.
+func fsync(f *os.File) error {
+	start := time.Now()
+	err := f.Sync()
+	hJournalFsyncNS.ObserveSince(start)
+	return err
 }
 
-// rewriteLocked atomically replaces the file with the current record
-// list: write a temp file, fsync, rename over, reopen for append.
-func (j *Journal) rewriteLocked() error {
+// rewriteLocked atomically replaces the file with recs: write a temp
+// file, fsync, rename over, reopen for append.
+func (j *Journal) rewriteLocked(recs []JournalRecord) error {
 	if err := os.MkdirAll(filepath.Dir(j.path), 0o755); err != nil {
 		return err
 	}
@@ -556,7 +529,7 @@ func (j *Journal) rewriteLocked() error {
 	if err != nil {
 		return err
 	}
-	for _, rec := range j.recs {
+	for _, rec := range recs {
 		line, err := marshalLine(rec)
 		if err == nil {
 			_, err = f.Write(line)
@@ -567,7 +540,7 @@ func (j *Journal) rewriteLocked() error {
 			return err
 		}
 	}
-	if err := f.Sync(); err != nil {
+	if err := fsync(f); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -587,23 +560,4 @@ func (j *Journal) rewriteLocked() error {
 	// Reopen plain O_WRONLY: appends go through WriteAt at the tracked
 	// size (WriteAt is incompatible with O_APPEND).
 	return j.openLocked(os.O_WRONLY)
-}
-
-// foldUndo cancels each "undo" against an immediately preceding
-// foldable op. A stack formulation handles cascades: walk, chase,
-// undo, undo folds to nothing. Ops outside the foldable set (and
-// their undos) are kept verbatim — replaying both reproduces the
-// state no matter how many history snapshots the op took.
-func foldUndo(recs []JournalRecord, foldable map[string]bool) []JournalRecord {
-	var out []JournalRecord
-	for _, r := range recs {
-		if r.Kind == "op" && r.Op == "undo" && len(out) > 0 {
-			if last := out[len(out)-1]; last.Kind == "op" && foldable[last.Op] {
-				out = out[:len(out)-1]
-				continue
-			}
-		}
-		out = append(out, r)
-	}
-	return out
 }

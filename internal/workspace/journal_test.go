@@ -101,36 +101,6 @@ func TestJournalMissingFileIsEmpty(t *testing.T) {
 	}
 }
 
-// Compaction folds (foldable-op, undo) pairs out of the on-disk log,
-// including cascades, while leaving non-foldable ops alone.
-func TestJournalCompactionFoldsUndo(t *testing.T) {
-	dir := t.TempDir()
-	opts := JournalOptions{CompactEvery: 6, Foldable: []string{"walk", "chase", "filter", "accept"}}
-	j := OpenJournal(dir, "s1", opts)
-	j.Append(JournalRecord{Kind: "create"})
-	j.Append(opRec("corr", `{"spec":"a"}`))
-	j.Append(opRec("walk", `{"w":1}`))
-	j.Append(opRec("chase", `{"c":1}`))
-	j.Append(opRec("undo", ""))
-	j.Append(opRec("undo", "")) // cascade: cancels the walk too
-	j.Append(opRec("undo", "")) // sixth op triggers compaction; not foldable against corr
-	j.Close()
-
-	recs, corrupt, err := ReadJournal(JournalPath(dir, "s1"))
-	if err != nil || corrupt != 0 {
-		t.Fatalf("ReadJournal: corrupt=%d err=%v", corrupt, err)
-	}
-	wantOps := []string{"", "corr", "undo"} // create, corr, trailing undo
-	if len(recs) != len(wantOps) {
-		t.Fatalf("compacted to %d records, want %d: %+v", len(recs), len(wantOps), recs)
-	}
-	for i, op := range wantOps {
-		if recs[i].Op != op {
-			t.Errorf("record %d: op %q, want %q", i, recs[i].Op, op)
-		}
-	}
-}
-
 // Transient write failures are retried; persistent ones degrade the
 // journal to memory-only (gauge up, later appends no-ops) instead of
 // failing the session.
@@ -236,30 +206,6 @@ func TestNilJournalIsInert(t *testing.T) {
 	}
 }
 
-// Regression: CompactEvery 0 must actually disable compaction (the
-// option documents "0 disables" but withDefaults used to rewrite 0 to
-// 64, so a long session silently compacted anyway). With compaction
-// off, every record of a long foldable (op, undo) run must survive.
-func TestJournalCompactEveryZeroDisablesCompaction(t *testing.T) {
-	dir := t.TempDir()
-	j := OpenJournal(dir, "s1", JournalOptions{CompactEvery: 0, Foldable: []string{"walk"}})
-	j.Append(JournalRecord{Kind: "create"})
-	const pairs = 40 // 80 op records, beyond the old implicit 64 trigger
-	for i := 0; i < pairs; i++ {
-		j.Append(opRec("walk", `{"n":1}`))
-		j.Append(opRec("undo", ""))
-	}
-	j.Close()
-
-	recs, corrupt, err := ReadJournal(JournalPath(dir, "s1"))
-	if err != nil || corrupt != 0 {
-		t.Fatalf("ReadJournal: corrupt=%d err=%v", corrupt, err)
-	}
-	if want := 1 + 2*pairs; len(recs) != want {
-		t.Fatalf("CompactEvery 0 still compacted: %d records survive, want %d", len(recs), want)
-	}
-}
-
 // A snapshot rewrites the journal to [create, snapshot], so replay
 // cost is bounded by ops since the last snapshot: with interval k the
 // file never holds more than k+1 records once the owner snapshots on
@@ -267,7 +213,7 @@ func TestJournalCompactEveryZeroDisablesCompaction(t *testing.T) {
 func TestJournalSnapshotBoundsRecords(t *testing.T) {
 	dir := t.TempDir()
 	const k = 4
-	j := OpenJournal(dir, "s1", JournalOptions{SnapshotEvery: k, CompactEvery: -1})
+	j := OpenJournal(dir, "s1", JournalOptions{SnapshotEvery: k})
 	j.Append(JournalRecord{Kind: "create", Args: json.RawMessage(`{"name":"m"}`)})
 	for i := 0; i < 4*k; i++ {
 		j.Append(opRec("walk", `{"n":1}`))
@@ -297,7 +243,7 @@ func TestJournalSnapshotBoundsRecords(t *testing.T) {
 	}
 
 	// Resuming over a snapshot keeps counting ops since that snapshot.
-	j2 := ResumeJournal(dir, "s1", recs, JournalOptions{SnapshotEvery: k, CompactEvery: -1})
+	j2 := ResumeJournal(dir, "s1", recs, JournalOptions{SnapshotEvery: k})
 	defer j2.Close()
 	if j2.SnapshotDue() {
 		t.Error("fresh resume over a snapshot must not be immediately due")
@@ -320,7 +266,7 @@ func TestJournalSnapshotFaultKeepsRecords(t *testing.T) {
 
 	dir := t.TempDir()
 	const k = 3
-	j := OpenJournal(dir, "s1", JournalOptions{SnapshotEvery: k, CompactEvery: -1})
+	j := OpenJournal(dir, "s1", JournalOptions{SnapshotEvery: k})
 	j.Append(JournalRecord{Kind: "create"})
 	for i := 0; i < 3*k; i++ {
 		j.Append(opRec("walk", `{"n":1}`))

@@ -10,11 +10,20 @@ import (
 )
 
 // Tool state serialization: ToolState captures everything a Tool
-// accumulated since its construction — workspaces with their mappings
-// and illustrations, the accepted set, the undo history, and the op
-// log — in a JSON-stable form. A serving layer embeds it in journal
-// "snapshot" records so replay cost is bounded by ops since the last
-// snapshot instead of total session history.
+// accumulated since its construction that cannot be recomputed —
+// workspaces with their mappings and illustrations, the accepted set,
+// the undo history, and the op log — in a JSON-stable form. A serving
+// layer embeds it in journal "snapshot" records so replay cost is
+// bounded by ops since the last snapshot instead of total session
+// history.
+//
+// A workspace's D(G) is left out: Definitions 3.5–3.11 make it a
+// function of the query graph and the instance alone. A restored
+// workspace starts without one and computes it with fd.Compute when
+// first read or edited, in the canonical row order every D(G) producer
+// shares, so a restored session renders the same bytes. Illustrations
+// are kept: each depends on the order of the operators that evolved
+// it (Section 5.3).
 //
 // The source instance and join knowledge are NOT part of the state:
 // they belong to session creation and the row ops, which the owner
@@ -36,28 +45,14 @@ type ToolState struct {
 }
 
 // WorkspaceState serializes one workspace. The mapping uses the stable
-// core mapping JSON document. The cached D(G) is carried verbatim: it
-// is maintained across row edits (fd.MaintainRows keeps the active
-// workspace's D(G) continuously current), so carrying it avoids a
-// recomputation on restore. The delta-maintainable form
-// (Workspace.dgm) is NOT serialized: the first edit after a restore
-// rebuilds it, and because Materialized.Rel() is canonical (key-sorted)
-// the restored session still renders the same view byte for byte.
+// core mapping JSON document. A state written with each workspace's
+// D(G) under a "dg" key still decodes: the key is ignored.
 type WorkspaceState struct {
 	ID           int               `json:"id"`
 	Mapping      json.RawMessage   `json:"mapping"`
 	Illustration IllustrationState `json:"illustration"`
-	DG           *DGState          `json:"dg,omitempty"`
 	Note         string            `json:"note,omitempty"`
 	Rank         int               `json:"rank"`
-}
-
-// DGState serializes a materialized D(G) relation: one shared scheme
-// and the tuples in relation order.
-type DGState struct {
-	Name   string         `json:"name"`
-	Scheme []string       `json:"scheme"`
-	Rows   [][]ValueState `json:"rows,omitempty"`
 }
 
 // HistoryState serializes one undo snapshot.
@@ -161,47 +156,6 @@ func restoreTuple(names []string, vals []ValueState) (relation.Tuple, error) {
 	return relation.NewTuple(sch, vv...), nil
 }
 
-func dgState(r *relation.Relation) *DGState {
-	if r == nil {
-		return nil
-	}
-	st := &DGState{Name: r.Name, Scheme: r.Scheme().Names()}
-	for _, t := range r.Tuples() {
-		row := make([]ValueState, 0, len(st.Scheme))
-		for i := range st.Scheme {
-			row = append(row, valueState(t.At(i)))
-		}
-		st.Rows = append(st.Rows, row)
-	}
-	return st
-}
-
-func restoreDG(st *DGState) (*relation.Relation, error) {
-	if st == nil {
-		return nil, nil
-	}
-	sch, err := relation.SchemeFrom(st.Scheme)
-	if err != nil {
-		return nil, err
-	}
-	r := relation.New(st.Name, sch)
-	for _, row := range st.Rows {
-		if len(row) != len(st.Scheme) {
-			return nil, fmt.Errorf("workspace: D(G) state arity mismatch (%d columns, %d values)", len(st.Scheme), len(row))
-		}
-		vv := make([]value.Value, len(row))
-		for i, vs := range row {
-			v, err := vs.value()
-			if err != nil {
-				return nil, err
-			}
-			vv[i] = v
-		}
-		r.Add(relation.NewTuple(sch, vv...))
-	}
-	return r, nil
-}
-
 func illustrationState(il core.Illustration) IllustrationState {
 	st := IllustrationState{}
 	for _, ex := range il.Examples {
@@ -245,7 +199,6 @@ func (t *Tool) workspaceState(w *Workspace) (WorkspaceState, error) {
 		ID:           w.ID,
 		Mapping:      doc,
 		Illustration: illustrationState(w.Illustration),
-		DG:           dgState(w.dg),
 		Note:         w.Note,
 		Rank:         w.Rank,
 	}, nil
@@ -274,11 +227,7 @@ func (t *Tool) restoreWorkspace(st WorkspaceState) (*Workspace, error) {
 	if err != nil {
 		return nil, err
 	}
-	dg, err := restoreDG(st.DG)
-	if err != nil {
-		return nil, err
-	}
-	return &Workspace{ID: st.ID, Mapping: m, Illustration: il, dg: dg, Note: st.Note, Rank: st.Rank}, nil
+	return &Workspace{ID: st.ID, Mapping: m, Illustration: il, Note: st.Note, Rank: st.Rank}, nil
 }
 
 func (t *Tool) snapshotState(snap snapshot) (HistoryState, error) {
@@ -320,8 +269,8 @@ func (t *Tool) restoreSnapshot(hs HistoryState) (snapshot, error) {
 }
 
 // SnapshotState captures the tool's complete session state in a
-// serializable form. The instance, knowledge, and index are excluded;
-// see the package comment above.
+// serializable form. The instance, knowledge and D(G)s are excluded;
+// see the comment at the top of this file.
 func (t *Tool) SnapshotState() (ToolState, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -39,6 +39,8 @@ type Workspace struct {
 	Rank int
 	// dg caches the mapping's D(G): built by fd.Compute, maintained
 	// across row edits (fd.MaintainRows), and reused by TargetView.
+	// Nil after a restore or a row edit made while inactive; the next
+	// TargetView or row edit computes it. Never serialized.
 	dg *relation.Relation
 	// dgm is the delta-maintainable form of dg (full subsumption state,
 	// not just the maximal front), built lazily on the first row edit
@@ -393,14 +395,18 @@ func (t *Tool) TargetView(ctx context.Context) (*relation.Relation, error) {
 			return nil, err
 		}
 	}
-	if act != nil && !seen[act.Mapping.String()] {
-		if act.dg != nil && act.Mapping.Graph.NodeCount() > 0 {
-			// Reuse the cached D(G).
-			for _, tp := range act.Mapping.EvaluateOn(act.dg).Tuples() {
-				out.Add(tp)
+	if act != nil && !seen[act.Mapping.String()] && act.Mapping.Graph.NodeCount() > 0 {
+		if act.dg == nil {
+			// A restored workspace, or one a row edit reached while it
+			// was inactive, has no D(G): compute it once and keep it.
+			dg, err := act.Mapping.DG(ctx, t.Instance)
+			if err != nil {
+				return nil, err
 			}
-		} else if err := add(act.Mapping); err != nil {
-			return nil, err
+			act.dg = dg
+		}
+		for _, tp := range act.Mapping.EvaluateOn(act.dg).Tuples() {
+			out.Add(tp)
 		}
 	}
 	res := out.Distinct()

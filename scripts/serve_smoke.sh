@@ -120,9 +120,9 @@ TRACE=$(curl -sfD - -o /dev/null "$BASE/api/sessions/$SID/view" |
 OUT=$(curl -sf "$BASE/debug/traces/$TRACE") || fail "trace lookup for $TRACE failed"
 case "$OUT" in *"\"$TRACE\""*) ;; *) fail "retained trace does not echo its id: $OUT" ;; esac
 
-# Session lifecycle: restart with snapshot compaction and a short idle
-# TTL. Snapshots must bound the journal, idle expiry must tombstone the
-# session into the archive, and resurrect must bring it back with a
+# Session lifecycle: restart with snapshots every 2 ops and a short
+# idle TTL. Snapshots must bound the journal, idle expiry must tombstone
+# the session into the archive, and resurrect must bring it back with a
 # byte-identical view.
 kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
@@ -137,6 +137,11 @@ for KID in 901 902 903 904; do
 done
 LINES=$(wc -l <"$JDIR/$SID.journal")
 [ "$LINES" -le 3 ] || fail "journal holds $LINES records after snapshots, want <= 3"
+# Snapshots hold no D(G)s, so the resurrect below restores without any.
+grep -q '"kind":"snapshot"' "$JDIR/$SID.journal" || fail "journal holds no snapshot record"
+if grep -q '"dg"' "$JDIR/$SID.journal"; then
+    fail "journal snapshot carries a \"dg\" key"
+fi
 PRE_EXPIRE=$(curl -sf "$BASE/api/sessions/$SID/view") || fail "pre-expire view failed"
 
 # Leave the session idle past the TTL; the reaper must tombstone it.
