@@ -18,10 +18,8 @@ package algebra
 // graceJoinIter): an oversized pair — skewed keys whose partition
 // exceeds the resident cap — is recursively re-partitioned with a
 // fresh per-depth hash salt up to the budget's recursion limit (then a
-// typed abort naming "recursion_exhausted"). The recorded
-// per-partition statistics feed an up-front feasibility check
-// (pairReplayBound) so a provably-doomed replay aborts before paying
-// any partition I/O.
+// typed abort naming "recursion_exhausted"). A pair is replayed until
+// a load is refused; nothing is refused before that.
 //
 // The Grace join runs on the consumer's goroutine; only a pair's join
 // kernel may run morsel workers, which take no charge and whose panics
@@ -245,9 +243,6 @@ func openSpillJoin(ctx context.Context, kind JoinKind, l, r Node, on expr.Expr, 
 	if right.spilled() {
 		right.parts.RecordStats()
 	}
-	if err := pairReplayBound(tr, left, right, n); err != nil {
-		return nil, err
-	}
 	left.partitionMem(n)
 	right.partitionMem(n)
 	it := &graceJoinIter{
@@ -267,47 +262,6 @@ func openSpillJoin(ctx context.Context, kind JoinKind, l, r Node, on expr.Expr, 
 	}
 	opened = true
 	return it, nil
-}
-
-// pairReplayBound is the join's up-front spill verdict: from the
-// recorded partition statistics, the largest pair's disk footprint is
-// a certain lower bound on the rows/bytes its replay must charge (one
-// frame is one resident row, and frame bytes are always below the
-// decoded tuple's ApproxBytes). If even the recursion budget cannot
-// divide that pair under the caps, every replay is guaranteed to
-// abort — refuse before paying any partition I/O.
-func pairReplayBound(tr *budget.Tracker, left, right *spillSide, n int) error {
-	var maxRows, maxBytes int64
-	for i := 0; i < n; i++ {
-		var rows, bytes int64
-		for _, sd := range [2]*spillSide{left, right} {
-			if sd.spilled() {
-				rows += int64(sd.parts.Tuples(i))
-				bytes += sd.parts.PartBytes(i)
-			}
-		}
-		if rows > maxRows {
-			maxRows = rows
-		}
-		if bytes > maxBytes {
-			maxBytes = bytes
-		}
-	}
-	limit := tr.RecursionLimit()
-	state := budget.SpillRecursionExhausted
-	if limit == 0 {
-		// Recursion disabled: the refusal is the plain spill-enabled
-		// kind, same as discovering it at load time.
-		state = budget.SpillEnabled
-	}
-	lim := tr.Limits()
-	if d := budget.SpillDepthLowerBound(maxRows, lim.MaxRows, n); d > limit {
-		return &budget.Error{Limit: "rows", Max: lim.MaxRows, Got: tr.Rows() + maxRows, Spill: state}
-	}
-	if d := budget.SpillDepthLowerBound(maxBytes, lim.MaxBytes, n); d > limit {
-		return &budget.Error{Limit: "bytes", Max: lim.MaxBytes, Got: tr.Bytes() + maxBytes, Spill: state}
-	}
-	return nil
 }
 
 func sideScheme(it Iterator, base *relation.Batch) *relation.Scheme {

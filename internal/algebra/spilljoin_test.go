@@ -380,6 +380,63 @@ func TestBudgetSpillJoinHotKeyRecursionExhausted(t *testing.T) {
 	}
 }
 
+// A hot-key pair so large that even a perfectly even split at every
+// allowed recursion level could not bring it under the cap is still
+// replayed: the join re-partitions it down to the depth limit, each
+// load is refused, and the abort names recursion_exhausted with every
+// charge refunded and every partition file removed.
+func TestBudgetSpillJoinHotKeyPastEveryDepthExhausted(t *testing.T) {
+	const cap, depth, rows = 4096, 1, 4000
+	sch := schema.NewDatabase()
+	sch.MustAddRelation(schema.NewRelation("L",
+		schema.Attribute{Name: "k", Type: value.KindInt},
+		schema.Attribute{Name: "x", Type: value.KindInt},
+	))
+	sch.MustAddRelation(schema.NewRelation("R",
+		schema.Attribute{Name: "k", Type: value.KindInt},
+		schema.Attribute{Name: "y", Type: value.KindInt},
+	))
+	in := relation.NewInstance(sch)
+	l := in.NewRelationFor("L")
+	r := in.NewRelationFor("R")
+	for i := 0; i < rows; i++ {
+		l.AddRow("7", fmt.Sprintf("%d", i))
+		r.AddRow("7", fmt.Sprintf("%d", i))
+	}
+	in.MustAdd(l)
+	in.MustAdd(r)
+	dir := t.TempDir()
+	tr := budget.NewTracker(budget.Budget{MaxBytes: cap, SpillDir: dir, SpillRecursionDepth: depth})
+	ctx := budget.With(context.Background(), tr)
+	j := Join{Kind: InnerJoin, On: expr.MustParse("L.k = R.k"),
+		L: Select{Child: NewScan("L", ""), Pred: expr.MustParse("TRUE")},
+		R: Select{Child: NewScan("R", ""), Pred: expr.MustParse("TRUE")},
+	}
+	it, err := Open(ctx, j, in)
+	if err == nil {
+		_, err = Drain(it)
+	}
+	var be *budget.Error
+	if !errors.As(err, &be) || be.Spill != budget.SpillRecursionExhausted {
+		t.Fatalf("hot-key join returned %v, want a recursion_exhausted budget error", err)
+	}
+	// Every row of a side lands in one partition, so the largest
+	// recorded partition is a whole side and the pair is twice it.
+	if _, side := tr.PartitionStats(); 2*side <= cap*spill.DefaultPartitions {
+		t.Fatalf("pair of %d frame bytes fits cap×%d^depth = %d — the test is vacuous",
+			2*side, spill.DefaultPartitions, cap*spill.DefaultPartitions)
+	}
+	if tr.SpillDepth() != depth {
+		t.Fatalf("re-partitioned to depth %d, want the limit %d", tr.SpillDepth(), depth)
+	}
+	if tr.Rows() != 0 || tr.Bytes() != 0 || tr.SpillBytes() != 0 {
+		t.Fatalf("abort leaked charges: rows=%d bytes=%d spill=%d", tr.Rows(), tr.Bytes(), tr.SpillBytes())
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "clio-spill-*.part")); len(left) != 0 {
+		t.Fatalf("exhausted recursion left partition files: %v", left)
+	}
+}
+
 // A panic at any spill fault point of a Grace join — while a side
 // sinks, while a partition pair loads, while an oversized pair splits —
 // must leave no charge and no partition file once it has unwound

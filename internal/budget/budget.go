@@ -93,17 +93,14 @@ type Error struct {
 	// Max is the configured cap, Got the amount reached.
 	Max, Got int64
 	// Spill names the spill configuration at abort time — one of
-	// SpillDisabled, SpillEnabled, SpillDiskCap — so the error tells
-	// an operator which knob to turn. Empty on errors built before
-	// the spill tier existed (treated as SpillDisabled downstream).
+	// SpillDisabled, SpillEnabled, SpillDiskCap or
+	// SpillRecursionExhausted — so the error tells an operator which
+	// knob to turn. Every error the budget packages build sets it.
 	Spill string
 }
 
 func (e *Error) Error() string {
-	if e.Spill != "" {
-		return fmt.Sprintf("budget exceeded: %s limit %d reached %d (spill %s)", e.Limit, e.Max, e.Got, e.Spill)
-	}
-	return fmt.Sprintf("budget exceeded: %s limit %d reached %d", e.Limit, e.Max, e.Got)
+	return fmt.Sprintf("budget exceeded: %s limit %d reached %d (spill %s)", e.Limit, e.Max, e.Got, e.Spill)
 }
 
 // Is matches the ErrExceeded sentinel.
@@ -365,29 +362,6 @@ func (t *Tracker) SpillDepth() int64 {
 		return 0
 	}
 	return t.depthMax.Load()
-}
-
-// SpillDepthLowerBound returns a certain lower bound on the recursion
-// depth needed before a partition whose load charges at least `load`
-// units can fit under `cap`: one re-partition level divides a
-// partition across at most `fanout` children, so even a perfectly
-// uniform split leaves a child of at least load/fanout. The bound is
-// exact for rows (one frame = one resident row) and conservative for
-// bytes (frame bytes on disk are always below the resident
-// ApproxBytes of the decoded tuple), so "lower bound > depth limit"
-// proves every recursive replay must fail — the join may abort
-// before paying the I/O. Returns 0 when cap is unlimited or load
-// already fits.
-func SpillDepthLowerBound(load, cap int64, fanout int) int {
-	if cap <= 0 || fanout < 2 {
-		return 0
-	}
-	d := 0
-	for load > cap && d <= 64 {
-		load = (load + int64(fanout) - 1) / int64(fanout)
-		d++
-	}
-	return d
 }
 
 // Rows returns the total rows charged so far.

@@ -174,29 +174,3 @@ func TestBudgetPartitionStats(t *testing.T) {
 		t.Fatalf("recursions=%d depth=%d, want 3 and 3", tr.SpillRecursions(), tr.SpillDepth())
 	}
 }
-
-// SpillDepthLowerBound: ceil-log_fanout(load/cap), clamped to 0 for
-// unlimited caps or degenerate fan-outs. The bound justifies the
-// picker's up-front recursion_exhausted abort, so the arithmetic is
-// pinned exactly.
-func TestBudgetSpillDepthLowerBound(t *testing.T) {
-	cases := []struct {
-		load, cap int64
-		fanout    int
-		want      int
-	}{
-		{100, 100, 16, 0},  // already fits
-		{100, 0, 16, 0},    // unlimited cap
-		{100, 50, 1, 0},    // fanout < 2 cannot split
-		{101, 100, 16, 1},  // one level suffices
-		{1600, 100, 16, 1}, // exactly one level (1600/16 = 100)
-		{1601, 100, 16, 2}, // ceil division: 101 > 100
-		{4096, 1, 2, 12},   // log2(4096)
-	}
-	for _, c := range cases {
-		if got := SpillDepthLowerBound(c.load, c.cap, c.fanout); got != c.want {
-			t.Fatalf("SpillDepthLowerBound(%d, %d, %d) = %d, want %d",
-				c.load, c.cap, c.fanout, got, c.want)
-		}
-	}
-}

@@ -68,10 +68,10 @@ func CacheCapacity() int {
 	return theCache.cap
 }
 
-// InvalidateCache drops every memoized D(G). Serving layers call it
-// when a source instance mutates, to release stale entries promptly
-// (correctness does not depend on it: mutated relations change their
-// fingerprints and therefore their keys).
+// InvalidateCache drops every memoized D(G). No serving layer calls
+// it: only tests and the serve benchmark do, to start from an empty
+// cache. Nothing needs it for correctness, since mutated relations
+// change their fingerprints and therefore their keys.
 func InvalidateCache() {
 	theCache.mu.Lock()
 	defer theCache.mu.Unlock()

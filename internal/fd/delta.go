@@ -280,61 +280,35 @@ func GraphReadsBase(g *graph.QueryGraph, base string) bool {
 
 // MaintainRows updates a D(G) after one row edit of base (t inserted
 // into or deleted from the instance, which is already mutated). It
-// chooses between the O(delta) application and a full rebuild by
-// testing certain lower bounds on their row charges against the budget
-// headroom, with route's charge-inclusive convention (est == headroom
-// is affordable). It returns the refreshed relation, the
-// materialization to keep for the next edit, and the chosen mode
-// ("delta" or "recompute") — which is also left on the context's notes
-// scratchpad as "dg_maint" for explain surfaces.
+// applies the O(delta) update whenever mat matches g and has at most
+// MaxDeltaSubsets subsets, and rebuilds otherwise. It returns the
+// refreshed relation, the materialization to keep for the next edit,
+// and the chosen mode ("delta" or "recompute") — which is also left on
+// the context's notes scratchpad as "dg_maint" for explain surfaces.
 //
-// Error contract: on a budget abort or context cancellation the
+// Error contract: on a budget refusal or context cancellation the
 // returned materialization is nil and the caller must treat any prior
 // one as invalid (a delta may have half-applied). Any other delta
 // failure degrades to a rebuild internally.
 func MaintainRows(ctx context.Context, mat *Materialized, g *graph.QueryGraph, in *relation.Instance, base string, t relation.Tuple, del bool) (*relation.Relation, *Materialized, string, error) {
 	ctx, span := obs.StartSpan(ctx, "fd.maintain_rows")
 	defer span.End()
-	// A rebuild pads every singleton subset whatever the graph's shape,
-	// so Σ|R_n| (the cyclic bound) is certain for it, spill or not: the
-	// build never refunds a charge.
-	rebuildEst, err := estimateRows(g, in, false)
-	if err != nil {
-		return nil, nil, "", err
-	}
 	if mat.Matches(g) && len(mat.subsets) <= MaxDeltaSubsets {
-		// Certain lower bound for the delta: every singleton subset
-		// over the edited base emits the delta tuple itself once.
-		var deltaEst int64
-		for _, name := range g.Nodes() {
-			if n, ok := g.Node(name); ok && n.Base == base {
-				deltaEst++
-			}
+		err := mat.ApplyRow(ctx, g, in, base, t, del)
+		if err == nil {
+			span.SetStr("mode", "delta")
+			cDeltaApply.Inc()
+			obs.Note(ctx, "dg_maint", "delta")
+			d := mat.Rel()
+			cacheStoreCurrent(g, in, d)
+			return d, mat, "delta", nil
 		}
-		// A delta bound past the headroom is doomed; the rebuild test
-		// below then refuses or rebuilds.
-		if h := rowHeadroom(ctx); h < 0 || deltaEst <= h {
-			aerr := mat.ApplyRow(ctx, g, in, base, t, del)
-			if aerr == nil {
-				span.SetStr("mode", "delta")
-				cDeltaApply.Inc()
-				obs.Note(ctx, "dg_maint", "delta")
-				d := mat.Rel()
-				cacheStoreCurrent(g, in, d)
-				return d, mat, "delta", nil
-			}
-			if errors.Is(aerr, budget.ErrExceeded) || ctx.Err() != nil {
-				// A rebuild can only consume more; fail now. The
-				// half-applied materialization dies with the nil return.
-				return nil, nil, "", aerr
-			}
-			// Anything else (degradation, plan error) falls through to
-			// the rebuild below.
+		if errors.Is(err, budget.ErrExceeded) || ctx.Err() != nil {
+			// The half-applied materialization dies with the nil return.
+			return nil, nil, "", err
 		}
-	}
-	if h := rowHeadroom(ctx); h >= 0 && rebuildEst > h {
-		// Doomed: refuse before any join runs or any row is charged.
-		return nil, nil, "", overBudget(ctx, rebuildEst)
+		// Anything else (degradation, plan error) falls through to the
+		// rebuild below.
 	}
 	m2, err := NewMaterialized(ctx, g, in)
 	if err != nil {

@@ -11,11 +11,11 @@ import (
 	"clio/internal/relation"
 )
 
-// ExplainResult describes one traced D(G) computation: what the picker
-// chose and why-shaped facts (tree-ness, node and subset counts), the
-// memo-cache disposition the equivalent Compute call would have seen,
-// and the executed operator tree with per-operator rows/batches/timing
-// span attributes.
+// ExplainResult describes one traced D(G) computation: the algorithm
+// Compute runs for the graph and why-shaped facts (tree-ness, node and
+// subset counts), the memo-cache disposition the equivalent Compute
+// call would have seen, and the executed operator tree with
+// per-operator rows/batches/timing span attributes.
 //
 // Cache is "hit"/"miss" per the pre-run peek, "disabled" when no cache
 // is configured, or "stale" when a base relation mutated while the
@@ -50,11 +50,10 @@ type ExplainResult struct {
 // ExplainCompute computes D(G) like Compute but always executes (never
 // answers from the memo cache) so the returned span tree reflects a
 // real run, and reports what the cache would have said alongside the
-// picker's routing decision. The fresh result is stored back into the
-// cache, so an explain call warms rather than bypasses it. Root is nil
-// when instrumentation is disabled (there are no spans to retain).
-// Algo comes from the same routing function Compute uses; when it is
-// "abort" the result is returned alongside the typed budget error.
+// algorithm. The fresh result is stored back into the cache, so an
+// explain call warms rather than bypasses it. Root is nil when
+// instrumentation is disabled (there are no spans to retain). Algo
+// comes from algoFor, as Compute's dispatch does.
 func ExplainCompute(ctx context.Context, g *graph.QueryGraph, in *relation.Instance) (*ExplainResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -71,14 +70,7 @@ func ExplainCompute(ctx context.Context, g *graph.QueryGraph, in *relation.Insta
 	if !res.IsTree {
 		res.Subsets = len(g.ConnectedSubsets())
 	}
-	algo, estimate, err := route(ctx, g, in)
-	if err != nil {
-		return nil, err
-	}
-	res.Algo = algo
-	if algo == "abort" {
-		return res, overBudget(ctx, estimate)
-	}
+	res.Algo = algoFor(g)
 	// Chaos hook: a delay injected here widens the window between the
 	// cache peek above and the computation below, which is how the
 	// stale-disposition regression test provokes a mid-explain mutation.

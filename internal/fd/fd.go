@@ -422,11 +422,11 @@ func FullDisjunctionOuterJoin(ctx context.Context, g *graph.QueryGraph, in *rela
 	return out, nil
 }
 
-// Compute computes D(G) with the best applicable algorithm: the
-// outer-join sequence for trees, subgraph enumeration otherwise (see
-// route). Results are memoized in the D(G) cache when one is
-// configured (see SetCacheCapacity); a cache hit does not count as an
-// fd.compute.calls computation.
+// Compute computes D(G) with the algorithm algoFor names: the
+// outer-join sequence for trees, subgraph enumeration otherwise.
+// Results are memoized in the D(G) cache when one is configured (see
+// SetCacheCapacity); a cache hit does not count as an fd.compute.calls
+// computation.
 func Compute(ctx context.Context, g *graph.QueryGraph, in *relation.Instance) (*relation.Relation, error) {
 	// Refuse before touching anything: computeUncached would do this
 	// check too, but a cache hit must also honor cancellation.
@@ -472,6 +472,17 @@ func approxRelationBytes(r *relation.Relation) int64 {
 	return n
 }
 
+// algoFor names the D(G) algorithm for g's shape: "outer_join" for a
+// tree, "subgraph" otherwise. Compute dispatches on it and EXPLAIN
+// reports it, so the two cannot disagree. The budget plays no part:
+// a computation that cannot fit stops at its first refused charge.
+func algoFor(g *graph.QueryGraph) string {
+	if g.IsTree() {
+		return "outer_join"
+	}
+	return "subgraph"
+}
+
 // computeUncached is Compute without the memo cache.
 func computeUncached(ctx context.Context, g *graph.QueryGraph, in *relation.Instance) (*relation.Relation, error) {
 	// Refuse to start work on a dead context: small graphs (a single
@@ -486,18 +497,13 @@ func computeUncached(ctx context.Context, g *graph.QueryGraph, in *relation.Inst
 	cComputeCalls.Inc()
 	start := time.Now()
 	defer hComputeNS.ObserveSince(start)
-	algo, estimate, err := route(ctx, g, in)
-	if err != nil {
-		return nil, err
-	}
+	algo := algoFor(g)
 	span.SetStr("algo", algo)
 	var d *relation.Relation
-	switch algo {
-	case "abort":
-		return nil, overBudget(ctx, estimate)
-	case "outer_join":
+	var err error
+	if algo == "outer_join" {
 		d, err = FullDisjunctionOuterJoin(ctx, g, in)
-	default:
+	} else {
 		d, err = fullDisjunction(ctx, g, in)
 	}
 	if err != nil {

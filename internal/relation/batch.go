@@ -591,7 +591,7 @@ func (b *Batch) Renamed(s *Scheme) *Batch {
 // rows — the sum of ApproxBytesRow, computed column-wise.
 func (b *Batch) ApproxBytes() int64 {
 	n := int64(b.Len())
-	total := n * int64(len(b.cols)) * 48
+	total := n * int64(len(b.cols)) * cellBytes
 	for c := range b.cols {
 		col := &b.cols[c]
 		switch {
@@ -757,7 +757,7 @@ func (b *Batch) HasNullAt(i int, positions []int) bool {
 // matching Tuple.ApproxBytes for the same values.
 func (b *Batch) ApproxBytesRow(i int) int64 {
 	r := b.RowID(i)
-	n := int64(len(b.cols)) * 48
+	n := int64(len(b.cols)) * cellBytes
 	for c := range b.cols {
 		col := &b.cols[c]
 		if col.mixed {

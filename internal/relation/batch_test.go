@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"clio/internal/value"
 )
@@ -151,6 +152,41 @@ func TestBatchNullAndEqualHelpers(t *testing.T) {
 	want := b.Tuple(0).ApproxBytes()
 	if got := b.ApproxBytesRow(0); got != want {
 		t.Fatalf("ApproxBytesRow=%d Tuple.ApproxBytes=%d", got, want)
+	}
+}
+
+// A budget charge may over-count a cell but never under-count one.
+func TestCellBytesCoversValue(t *testing.T) {
+	if size := unsafe.Sizeof(value.Value{}); cellBytes < size {
+		t.Fatalf("cellBytes = %d is below sizeof(value.Value) = %d", cellBytes, size)
+	}
+}
+
+// The three byte estimates agree on every row: the column-wise batch
+// total is the sum of its rows, and each row matches its tuple, over
+// typed columns (uniformTuple's), a mixed one (randValue's), NULLs and
+// strings, with and without a selection vector.
+func TestBatchApproxBytesSumsRows(t *testing.T) {
+	s := NewScheme("i", "f", "s", "b", "m")
+	rng := rand.New(rand.NewSource(48))
+	b := NewBatch(s)
+	for i := 0; i < 200; i++ {
+		u := uniformTuple(rng, s)
+		b.AppendValues(u.At(0), u.At(1), u.At(2), u.At(3), randValue(rng))
+	}
+	var sel []int32
+	for i := 0; i < b.Rows(); i += 3 {
+		sel = append(sel, int32(i))
+	}
+	for _, view := range []*Batch{b, b.View(sel)} {
+		var rows, tuples int64
+		for i := 0; i < view.Len(); i++ {
+			rows += view.ApproxBytesRow(i)
+			tuples += view.Tuple(i).ApproxBytes()
+		}
+		if got := view.ApproxBytes(); got != rows || got != tuples {
+			t.Fatalf("%d rows: ApproxBytes = %d, sum of ApproxBytesRow = %d, sum of Tuple.ApproxBytes = %d", view.Len(), got, rows, tuples)
+		}
 	}
 }
 

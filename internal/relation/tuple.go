@@ -234,12 +234,18 @@ func (t Tuple) EqualOn(o Tuple, pos, opos []int) bool {
 	return true
 }
 
+// cellBytes is what a resource budget charges per cell, before any
+// string payload: the size of one value.Value with padding. It must
+// be at least that size, so a charge may over-count a cell but never
+// under-count one; a smaller value layout may keep the charge as is.
+const cellBytes = 48
+
 // ApproxBytes estimates the resident memory of the tuple: the value
 // slice plus string payloads. Resource budgets charge this per
 // materialized tuple, so it errs on the cheap side (shared schemes
 // and interned strings are not double-counted).
 func (t Tuple) ApproxBytes() int64 {
-	n := int64(len(t.vals)) * 48 // sizeof(value.Value) incl. padding
+	n := int64(len(t.vals)) * cellBytes
 	for _, v := range t.vals {
 		if v.Kind() == value.KindString {
 			n += int64(len(v.Str()))

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -131,6 +132,36 @@ func TestChaosCrashReplayRestoresSessions(t *testing.T) {
 		}
 		mustCall(t, ts2, "POST", "/api/sessions/"+id+"/chase",
 			map[string]any{"column": "Children.ID", "value": "002"})
+	}
+}
+
+// A correspondence the request budget refuses after building one of
+// its alternatives is not journaled, so it must not use up a workspace
+// ID either: the workspace the next op creates gets the same ID live
+// and after a restart replays the journal, and the two /workspaces
+// bodies are byte-identical.
+func TestBudgetRefusedCorrKeepsWorkspaceIDsAcrossReplay(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{JournalDir: dir, Budget: fd.Budget{MaxRows: 20}}
+	s1 := New(cfg)
+	ts1 := httptest.NewServer(s1.Handler())
+	id := newPaperSession(t, ts1)
+	base := "/api/sessions/" + id
+	mustCall(t, ts1, "POST", base+"/corr", map[string]any{"spec": "Children.ID -> Kids.ID"})
+	mustCall(t, ts1, "POST", base+"/corr", map[string]any{"spec": "Children.name -> Kids.name"})
+	if status, out := call(t, ts1, "POST", base+"/corr", map[string]any{"spec": "Parents.affiliation -> Kids.affiliation"}); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("corr under 20 rows: status %d (%v), want 413", status, out)
+	}
+	mustCall(t, ts1, "POST", base+"/filter", map[string]any{"kind": "target", "pred": "Kids.ID IS NOT NULL"})
+	_, _, live := callRaw(t, ts1, "GET", base+"/workspaces", "")
+	ts1.Close()
+
+	s2 := New(cfg)
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	_, _, replayed := callRaw(t, ts2, "GET", base+"/workspaces", "")
+	if !bytes.Equal(live, replayed) {
+		t.Fatalf("replayed /workspaces differs from live:\nlive     %s\nreplayed %s", live, replayed)
 	}
 }
 

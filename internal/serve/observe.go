@@ -129,8 +129,8 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 // handleExplain compiles and executes the active mapping's D(G) plan
 // (the same fd.Compute route the examples endpoint takes) and returns
 // the operator tree annotated with each operator's rows/batches/timing
-// from that execution, the picker's algorithm choice, and the memo
-// cache's disposition.
+// from that execution, the algorithm the graph's shape selects, and
+// the memo cache's disposition.
 func (s *Server) handleExplain(ctx context.Context, r *http.Request) (any, error) {
 	return s.withSession(r, func(sess *Session) (any, error) {
 		act := sess.tool.Active()

@@ -274,7 +274,7 @@ func sumPlanRows(node map[string]any) float64 {
 }
 
 // TestExplainEndpointFigure8 drives the paper scenario and checks the
-// explain payload: picker choice, cache disposition, and an operator
+// explain payload: algorithm, cache disposition, and an operator
 // tree whose per-operator rows are consistent with the executed D(G).
 func TestExplainEndpointFigure8(t *testing.T) {
 	_, ts := newTestServer(t, Config{})

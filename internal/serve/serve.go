@@ -550,18 +550,7 @@ func (s *Server) handle(name string, h handlerFunc) http.HandlerFunc {
 				body["limit"] = be.Limit
 				body["max"] = be.Max
 				body["got"] = be.Got
-				spillState := be.Spill
-				if spillState == "" {
-					// Errors built before the spill tier (or outside the
-					// tracker) carry no state; report the request's
-					// configuration.
-					if budget.SpillDir != "" {
-						spillState = fd.SpillEnabled
-					} else {
-						spillState = fd.SpillDisabled
-					}
-				}
-				body["spill"] = spillState
+				body["spill"] = be.Spill
 			case errors.As(err, &he):
 				status = he.status
 			case errors.Is(err, context.DeadlineExceeded):

@@ -215,8 +215,8 @@ func testRowsFirstBuildFailureRollsBack(t *testing.T) {
 		fail func(t *testing.T, tl *Tool)
 	}{
 		{"budget abort mid-build", func(t *testing.T, tl *Tool) {
-			// Σ|R_n| passes the up-front check; the joins' associations
-			// push the build past it.
+			// A cap of Σ|R_n| rows: the joins' associations push the
+			// build past it mid-build.
 			children := tl.Instance.Relation("Children").Len() + 1
 			est := int64(children + tl.Instance.Relation("Parents").Len() + tl.Instance.Relation("PhoneDir").Len())
 			ctx := fd.WithBudget(context.Background(), fd.Budget{MaxRows: est})

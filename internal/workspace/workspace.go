@@ -245,9 +245,12 @@ func (t *Tool) Undo() (err error) {
 // held by the caller — the paper's
 // behaviour after a walk or chase: "new workspaces are created (one of
 // which is chosen as the new active workspace), and the old workspaces
-// are discarded" (but remembered in history for Undo).
+// are discarded" (but remembered in history for Undo). On failure it
+// also takes back the IDs the alternatives built so far took: a failed
+// op is not journaled, so replay would never take them.
 func (t *Tool) setAlternatives(ctx context.Context, ms []*core.Mapping, notes []string) error {
 	var ws []*Workspace
+	nextID := t.nextID
 	for i, m := range ms {
 		note := ""
 		if i < len(notes) {
@@ -255,6 +258,7 @@ func (t *Tool) setAlternatives(ctx context.Context, ms []*core.Mapping, notes []
 		}
 		w, err := t.newWorkspace(ctx, m, note, i)
 		if err != nil {
+			t.nextID = nextID
 			return err
 		}
 		ws = append(ws, w)

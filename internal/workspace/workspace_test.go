@@ -2,6 +2,7 @@ package workspace
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -689,5 +690,67 @@ func TestRotateSingleAndMaxWalkLen(t *testing.T) {
 	tl.MaxWalkLen = 3
 	if err := tl.Walk(context.Background(), "Children", "PhoneDir"); err != nil {
 		t.Errorf("walk at bound 3 should work: %v", err)
+	}
+}
+
+// A walk or correspondence refused by the request budget after some of
+// its alternatives were built must not use up workspace IDs: the
+// failed op is not journaled, so replay would number every later
+// workspace differently from the live session. Every cap from 1 to 60
+// rows is tried; each refused op must leave NextID where it was, and
+// some refusal must come after an alternative was built.
+func TestBudgetRefusedAlternativesKeepNextID(t *testing.T) {
+	corr := func(src, attr string) func(context.Context, *Tool) error {
+		return func(ctx context.Context, tl *Tool) error {
+			return tl.AddCorrespondence(ctx, core.Identity(src, schema.Col("Kids", attr)))
+		}
+	}
+	walk := func(ctx context.Context, tl *Tool) error { return tl.Walk(ctx, "Children", "PhoneDir") }
+	cases := []struct {
+		name   string
+		prefix []func(context.Context, *Tool) error
+		op     func(context.Context, *Tool) error
+	}{
+		{"corr", []func(context.Context, *Tool) error{corr("Children.ID", "ID"), corr("Children.name", "name")},
+			corr("Parents.affiliation", "affiliation")},
+		{"walk", []func(context.Context, *Tool) error{corr("Children.ID", "ID"), corr("Children.name", "name"),
+			corr("Parents.affiliation", "affiliation")}, walk},
+	}
+	for _, c := range cases {
+		lateRefusals := 0
+		for cap := int64(1); cap <= 60; cap++ {
+			tl := newTool(t)
+			if err := tl.Start("kids"); err != nil {
+				t.Fatal(err)
+			}
+			for _, step := range c.prefix {
+				if err := step(context.Background(), tl); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before, err := tl.SnapshotState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := fd.WithBudget(context.Background(), fd.Budget{MaxRows: cap})
+			if err := c.op(ctx, tl); err == nil {
+				continue
+			} else if !errors.Is(err, fd.ErrBudgetExceeded) {
+				t.Fatalf("%s under %d rows: %v, want a budget refusal or success", c.name, cap, err)
+			}
+			if rows, _ := fd.BudgetUsed(ctx); rows > 0 {
+				lateRefusals++
+			}
+			after, err := tl.SnapshotState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after.NextID != before.NextID {
+				t.Fatalf("%s refused under %d rows moved NextID from %d to %d", c.name, cap, before.NextID, after.NextID)
+			}
+		}
+		if lateRefusals == 0 {
+			t.Fatalf("%s: no refusal came after any work was charged — the test is vacuous", c.name)
+		}
 	}
 }

@@ -11,7 +11,12 @@
 # its side and seed. When all pairs are done, it prints for every
 # metric each side's median and [q1–q3], the change's Δ% against the
 # parent's median, and the pairs the change won (lower wins unless
-# CHANGE_TREE/BENCHMARK.json marks the metric "better": "higher").
+# CHANGE_TREE/BENCHMARK.json marks the metric "better": "higher"). A
+# metric with a "bound" there (the end-to-end ones) is marked WORSE
+# when the change's median is worse than the parent's by more than
+# that fraction, and ok otherwise. Last it prints each side's failed
+# and attempted operations summed over all pairs, marked WORSE when
+# the change failed a larger share. PAIRS 0 only summarizes AB_OUT.
 #
 # Every run lasts CHANGE_TREE/BENCHMARK.json's run_seconds. AB_TRACE
 # (default 0) is passed to servebench as --trace; AB_OUT (default
@@ -57,7 +62,8 @@ while [ "$i" -lt "$pairs" ]; do
 done
 
 awk -v runs="$out" '
-# BENCHMARK.json: remember which metrics are better when higher.
+# BENCHMARK.json: remember which metrics are better when higher, and
+# the bound of each metric that has one.
 FILENAME != runs {
 	if (match($0, /"name": *"[^"]*"/)) {
 		name = substr($0, RSTART, RLENGTH)
@@ -65,6 +71,11 @@ FILENAME != runs {
 		sub(/"$/, "", name)
 	}
 	if ($0 ~ /"better": *"higher"/) higher[name] = 1
+	if (match($0, /"bound": *[0-9.eE+-]+/)) {
+		b = substr($0, RSTART, RLENGTH)
+		sub(/"bound": */, "", b)
+		bound[name] = b + 0
+	}
 	next
 }
 # A result line: SIDE SEED {"correct":…,"metrics":{"m":{"value":v,…},…}}
@@ -73,10 +84,12 @@ FILENAME != runs {
 	seed = $2
 	if (side == "parent") seen[seed] = 1
 	rest = $0
+	if (match(rest, /"attempted":[0-9]+/)) attempted[side] += substr(rest, RSTART + 12, RLENGTH - 12)
 	if (match(rest, /"failed":[0-9]+/)) {
 		f = substr(rest, RSTART + 9, RLENGTH - 9)
 		val[side, "failed", seed] = f
 		names["failed"] = 1
+		failed[side] += f
 	}
 	while (match(rest, /"[A-Za-z0-9_.]+":\{"value":[-+0-9.eE]+/)) {
 		m = substr(rest, RSTART, RLENGTH)
@@ -106,8 +119,12 @@ function q(a, n, p,    h, lo) {
 	if (lo >= n) return a[n]
 	return a[lo] + (h - lo) * (a[lo + 1] - a[lo])
 }
+# share returns failed/attempted as a fraction (0 when nothing ran).
+function share(side) {
+	return attempted[side] > 0 ? failed[side] / attempted[side] : 0
+}
 END {
-	printf "%-40s %28s %28s %8s %6s\n", "metric", "parent median [q1-q3]", "change median [q1-q3]", "delta", "won"
+	printf "%-40s %28s %28s %8s %6s %s\n", "metric", "parent median [q1-q3]", "change median [q1-q3]", "delta", "won", "bound"
 	for (key in names) sorted[++nk] = key
 	sortv(sorted, nk)
 	for (k = 1; k <= nk; k++) {
@@ -130,8 +147,17 @@ END {
 		pm = q(pv, np, 0.5)
 		cm = q(cv, nc, 0.5)
 		d = (pm != 0) ? sprintf("%+.1f%%", 100 * (cm - pm) / pm) : "-"
-		printf "%-40s %10.4g [%.4g-%.4g] %10.4g [%.4g-%.4g] %8s %3d/%d\n", key,
-			pm, q(pv, np, 0.25), q(pv, np, 0.75), cm, q(cv, nc, 0.25), q(cv, nc, 0.75), d, won, n
+		verdict = ""
+		if (key in bound) {
+			worse = (key in higher) ? pm - cm : cm - pm
+			verdict = sprintf("%s (%.0f%%)", (worse > bound[key] * (pm < 0 ? -pm : pm)) ? "WORSE" : "ok", 100 * bound[key])
+		}
+		printf "%-40s %10.4g [%.4g-%.4g] %10.4g [%.4g-%.4g] %8s %3d/%d %s\n", key,
+			pm, q(pv, np, 0.25), q(pv, np, 0.75), cm, q(cv, nc, 0.25), q(cv, nc, 0.75), d, won, n, verdict
 	}
+	printf "failed/attempted: parent %d/%d (%.3f%%), change %d/%d (%.3f%%) %s\n",
+		failed["parent"], attempted["parent"], 100 * share("parent"),
+		failed["change"], attempted["change"], 100 * share("change"),
+		(share("change") > share("parent")) ? "WORSE" : "ok"
 }
 ' "$change/BENCHMARK.json" "$out"
