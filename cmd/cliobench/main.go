@@ -464,9 +464,8 @@ func e10() {
 	t, allocs = measureAllocs(func() { dg, _ = fd.Compute(ctx, c.Graph, c.Instance) })
 	row("chain-4 D(G)", chainRows*4, dg.Len(), t, allocs)
 
-	// Materialize: the delta-maintainable D(G) a session's first row
-	// edit builds (every connected subset drained, then the
-	// subsumption state built in one pass).
+	// Materialize: the delta-maintainable D(G) a rebuild makes (D(G)
+	// computed, then its front seeded in bulk).
 	var mat *fd.Materialized
 	t, allocs = measureAllocs(func() {
 		var err error
@@ -488,13 +487,13 @@ func e10() {
 		tp := r0.At(r0.Len() - 1)
 		var mode string
 		var err error
-		if _, mat, mode, err = fd.MaintainRows(ctx, mat, c.Graph, c.Instance, "R0", tp, false); err != nil {
+		if _, mat, mode, err = fd.MaintainRows(ctx, mat, nil, c.Graph, c.Instance, "R0", tp, false); err != nil {
 			panic(err)
 		} else if mode != "delta" {
 			panic("edit-loop bench: insert maintained via " + mode)
 		}
 		tp = r0.RemoveAt(r0.Len() - 1)
-		if _, mat, mode, err = fd.MaintainRows(ctx, mat, c.Graph, c.Instance, "R0", tp, true); err != nil {
+		if _, mat, mode, err = fd.MaintainRows(ctx, mat, nil, c.Graph, c.Instance, "R0", tp, true); err != nil {
 			panic(err)
 		} else if mode != "delta" {
 			panic("edit-loop bench: delete maintained via " + mode)

@@ -82,7 +82,7 @@ func TestMaintainRowsDeltaBoundaryAtHeadroom(t *testing.T) {
 		a := in.Relation("A")
 		a.AddValues(value.Int(99))
 		ctx := withHeadroom(t, 1)
-		d, mat2, mode, err := MaintainRows(ctx, mat, g, in, "A", a.At(a.Len()-1), false)
+		d, mat2, mode, err := MaintainRows(ctx, mat, nil, g, in, "A", a.At(a.Len()-1), false)
 		if err != nil || mode != "delta" || mat2 != mat {
 			t.Fatalf("delta bound == headroom: mode %q, err %v, kept mat %v; want the delta applied", mode, err, mat2 == mat)
 		}
@@ -97,7 +97,7 @@ func TestMaintainRowsDeltaBoundaryAtHeadroom(t *testing.T) {
 		mat := materialize(g, in)
 		tp := in.Relation("A").RemoveAt(0)
 		ctx := withHeadroom(t, 0)
-		_, mat2, _, err := MaintainRows(ctx, mat, g, in, "A", tp, true)
+		_, mat2, _, err := MaintainRows(ctx, mat, nil, g, in, "A", tp, true)
 		var be *BudgetError
 		if !errors.As(err, &be) || be.Got != 5 || mat2 != nil {
 			t.Fatalf("both bounds > headroom returned %v (mat %v), want a budget error reporting 5 rows", err, mat2)
@@ -166,20 +166,28 @@ func disjointPair() (*graph.QueryGraph, *relation.Instance) {
 	return g, in
 }
 
-// A first materialization (no matching one to delta-apply) builds
-// under the row budget: the build pads every singleton subset and
-// never refunds, so here it charges exactly Σ|R_n| = 7 rows. At a cap
-// of 7 the build runs and fits exactly; one row short, the refused
-// charge fails the edit.
+// A first materialization with no D(G) to seed from rebuilds: it
+// charges exactly what fd.Compute charges — here the outer-join
+// chain's 7 output rows plus the 7 rows its accumulator retains, 14 in
+// all — and nothing for seeding the front from that result. At a cap
+// of 14 the rebuild fits exactly; one row short, the refused charge
+// fails the edit.
 func TestMaintainRowsFirstBuildBoundaryAtHeadroom(t *testing.T) {
 	g, in := disjointPair()
 	a := in.Relation("A")
 	a.AddValues(value.Int(99))
 	tp := a.At(a.Len() - 1)
-	const est = 7
+	const est = 14
+	ref := WithBudget(context.Background(), Budget{MaxRows: 1 << 40})
+	if _, err := Compute(ref, g, in); err != nil {
+		t.Fatal(err)
+	}
+	if used := budget.FromContext(ref).Rows(); used != est {
+		t.Fatalf("Compute charged %d rows, want %d", used, est)
+	}
 
 	exact := WithBudget(context.Background(), Budget{MaxRows: est})
-	_, mat, mode, err := MaintainRows(exact, nil, g, in, "A", tp, false)
+	_, mat, mode, err := MaintainRows(exact, nil, nil, g, in, "A", tp, false)
 	if err != nil {
 		t.Fatalf("first build at est == headroom failed: %v", err)
 	}
@@ -191,9 +199,59 @@ func TestMaintainRowsFirstBuildBoundaryAtHeadroom(t *testing.T) {
 	}
 
 	under := WithBudget(context.Background(), Budget{MaxRows: est - 1})
-	_, mat, _, err = MaintainRows(under, nil, g, in, "A", tp, false)
+	_, mat, _, err = MaintainRows(under, nil, nil, g, in, "A", tp, false)
 	var be *BudgetError
 	if !errors.As(err, &be) || be.Got != est || mat != nil {
 		t.Fatalf("first build one row short returned %v (mat %v), want a budget error reporting %d rows", err, mat, est)
 	}
+}
+
+// A first edit that seeds the front from the caller's D(G) charges
+// that D(G)'s rows and bytes once, as a memo hit charges its clone,
+// and then the delta's own associations: here the 6 rows of D(G) and
+// the inserted row's one association. It fits at exactly that cap; one
+// row short, the refused charge fails the edit with no
+// materialization.
+func TestMaintainRowsSeedBoundaryAtHeadroom(t *testing.T) {
+	g, in := disjointPair()
+	dg, err := computeUncached(context.Background(), g, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := in.Relation("A")
+	a.AddValues(value.Int(99))
+	tp := a.At(a.Len() - 1)
+	const est = 7
+	if dg.Len() != est-1 {
+		t.Fatalf("fixture D(G) has %d rows, want %d", dg.Len(), est-1)
+	}
+
+	exact := WithBudget(context.Background(), Budget{MaxRows: est})
+	d, mat, mode, err := MaintainRows(exact, nil, dg, g, in, "A", tp, false)
+	if err != nil || mode != "delta" || mat == nil {
+		t.Fatalf("seeded edit at est == headroom: mode %q, mat %v, err %v; want the delta applied", mode, mat, err)
+	}
+	requireSameDG(t, d, dgOf(t, g, in))
+	tr := budget.FromContext(exact)
+	wantBytes := approxRelationBytes(dg) + relation.NewTuple(dg.Scheme(), value.Int(99), value.Null).ApproxBytes()
+	if tr.Rows() != est || tr.Bytes() != wantBytes {
+		t.Fatalf("seeded edit charged %d rows / %d bytes, want %d / %d", tr.Rows(), tr.Bytes(), est, wantBytes)
+	}
+
+	under := WithBudget(context.Background(), Budget{MaxRows: est - 1})
+	_, mat, _, err = MaintainRows(under, nil, dg, g, in, "A", tp, false)
+	var be *BudgetError
+	if !errors.As(err, &be) || be.Got != est || mat != nil {
+		t.Fatalf("seeded edit one row short returned %v (mat %v), want a budget error reporting %d rows", err, mat, est)
+	}
+}
+
+// dgOf is g's D(G) over in, computed from scratch.
+func dgOf(t *testing.T, g *graph.QueryGraph, in *relation.Instance) *relation.Relation {
+	t.Helper()
+	d, err := computeUncached(context.Background(), g, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }

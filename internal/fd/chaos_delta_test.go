@@ -58,7 +58,7 @@ func TestChaosDeltaFaultFallsBackToRebuildMode(t *testing.T) {
 	r := in.Relation("A")
 	r.AddValues(value.Int(5))
 	tp := r.At(r.Len() - 1)
-	d, mat2, mode, err := MaintainRows(ctx, mat, gAB, in, "A", tp, false)
+	d, mat2, mode, err := MaintainRows(ctx, mat, nil, gAB, in, "A", tp, false)
 	if err != nil {
 		t.Fatalf("maintenance did not absorb the delta fault: %v", err)
 	}
@@ -77,7 +77,7 @@ func TestChaosDeltaFaultFallsBackToRebuildMode(t *testing.T) {
 	}
 	// And the rebuilt materialization keeps working once the fault is gone.
 	tp2 := r.RemoveAt(0)
-	d2, _, mode2, err := MaintainRows(ctx, mat2, gAB, in, "A", tp2, true)
+	d2, _, mode2, err := MaintainRows(ctx, mat2, nil, gAB, in, "A", tp2, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func TestDeltaMaintainedEqualsRecomputeRandomEdits(t *testing.T) {
 		deltas := 0
 		for step := 0; step < 12; step++ {
 			base, tp, del := applyRandomRowEdit(rng, in, bases)
-			d, mat2, mode, err := MaintainRows(ctx, mat, g, in, base, tp, del)
+			d, mat2, mode, err := MaintainRows(ctx, mat, nil, g, in, base, tp, del)
 			if err != nil {
 				t.Fatalf("trial %d step %d: MaintainRows: %v", trial, step, err)
 			}
@@ -110,7 +110,7 @@ func TestMaintainRowsRebuildsOnGraphChange(t *testing.T) {
 	r := in.Relation(base)
 	r.AddValues(value.Int(1), value.Int(50))
 	tp := r.At(r.Len() - 1)
-	d, mat2, mode, err := MaintainRows(ctx, mat, g2, in, base, tp, false)
+	d, mat2, mode, err := MaintainRows(ctx, mat, nil, g2, in, base, tp, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestMaintainRowsRebuildsOnGraphChange(t *testing.T) {
 	}
 	// And the rebuilt materialization keeps delta-maintaining correctly.
 	tp2 := r.RemoveAt(0)
-	d2, _, mode2, err := MaintainRows(ctx, mat2, g2, in, base, tp2, true)
+	d2, _, mode2, err := MaintainRows(ctx, mat2, nil, g2, in, base, tp2, true)
 	if err != nil {
 		t.Fatal(err)
 	}

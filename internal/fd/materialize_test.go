@@ -2,7 +2,6 @@ package fd_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -16,7 +15,7 @@ import (
 	"clio/internal/value"
 )
 
-// roughen adds the shapes the one-pass build must get right to every
+// roughen adds the shapes front maintenance must get right to every
 // base relation of in: duplicate rows, rows with a NULL cell, and — on
 // the first relation — an all-NULL row, whose padded association is
 // the all-null tuple.
@@ -71,8 +70,11 @@ type materializeCase struct {
 	in   *relation.Instance
 }
 
-func materializeCases() []materializeCase {
-	rng := rand.New(rand.NewSource(16))
+// materializeCases returns the four paper mappings (two of them over a
+// roughened instance) and roughened chain, star, cycle and
+// two-nodes-over-one-base graphs, generated and roughened from seed.
+func materializeCases(seed int64) []materializeCase {
+	rng := rand.New(rand.NewSource(seed))
 	var cases []materializeCase
 	for i, mk := range []func() *graph.QueryGraph{
 		func() *graph.QueryGraph { return paperdb.Section2Mapping().Graph },
@@ -86,18 +88,18 @@ func materializeCases() []materializeCase {
 		}
 		cases = append(cases, materializeCase{fmt.Sprintf("paper-%d", i), mk(), in})
 	}
-	chain := datagen.Chain(datagen.ChainSpec{Relations: 4, Rows: 40, KeySpace: 15, MatchProb: 0.8, Seed: 3})
+	chain := datagen.Chain(datagen.ChainSpec{Relations: 4, Rows: 40, KeySpace: 15, MatchProb: 0.8, Seed: 3 + seed})
 	roughen(rng, chain.Instance)
 	cases = append(cases, materializeCase{"chain", chain.Graph, chain.Instance})
-	star := datagen.Star(datagen.StarSpec{Dims: 3, FactRows: 40, DimRows: 12, MatchProb: 0.7, Seed: 4})
+	star := datagen.Star(datagen.StarSpec{Dims: 3, FactRows: 40, DimRows: 12, MatchProb: 0.7, Seed: 4 + seed})
 	roughen(rng, star.Instance)
 	cases = append(cases, materializeCase{"star", star.Graph, star.Instance})
-	cycle := datagen.Chain(datagen.ChainSpec{Relations: 4, Rows: 30, KeySpace: 8, MatchProb: 0.9, Seed: 5})
+	cycle := datagen.Chain(datagen.ChainSpec{Relations: 4, Rows: 30, KeySpace: 8, MatchProb: 0.9, Seed: 5 + seed})
 	cycle.Graph.MustAddEdge("R0", "R3", expr.Equals("R0.k", "R3.k"))
 	roughen(rng, cycle.Instance)
 	cases = append(cases, materializeCase{"cycle", cycle.Graph, cycle.Instance})
 	// Two nodes over one base: R0 joined to two aliases of R1.
-	twin := datagen.Chain(datagen.ChainSpec{Relations: 2, Rows: 30, KeySpace: 10, MatchProb: 0.9, Seed: 6})
+	twin := datagen.Chain(datagen.ChainSpec{Relations: 2, Rows: 30, KeySpace: 10, MatchProb: 0.9, Seed: 6 + seed})
 	twin.Graph.MustAddNode("R1b", "R1")
 	twin.Graph.MustAddEdge("R0", "R1b", expr.Equals("R0.v", "R1b.k"))
 	roughen(rng, twin.Instance)
@@ -105,68 +107,38 @@ func materializeCases() []materializeCase {
 	return cases
 }
 
-// The one-pass build equals per-tuple Insert over the same drained
-// associations entry for entry — tuple, count, maximal flag, live
-// order, non-null tally — renders the same Rel() bytes, and charges
-// the budget the same rows and bytes. Both then take one random
-// sequence of row edits through ApplyRow and stay equal.
-func TestNewMaterializedMatchesPerTupleInsert(t *testing.T) {
-	rng := rand.New(rand.NewSource(1993))
-	for _, c := range materializeCases() {
+// The per-edit oracle: a front seeded from fd.Compute and then
+// maintained through 30 random row edits — deletes, duplicate
+// inserts, and inserts of a copy with one cell NULL — renders, after
+// every edit, byte-identically to a sorted FullDisjunction of the
+// edited instance, on every case under 12 seeds. Every edit must take
+// the delta path.
+func TestMaintainRowsMatchesFullDisjunctionPerEdit(t *testing.T) {
+	ctx := context.Background()
+	for i, c := range materializeCases(0) {
 		t.Run(c.name, func(t *testing.T) {
-			bctx := fd.WithBudget(context.Background(), fd.Budget{MaxRows: 1 << 40})
-			bulk, err := fd.NewMaterialized(bctx, c.g, c.in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rctx := fd.WithBudget(context.Background(), fd.Budget{MaxRows: 1 << 40})
-			ref, err := fd.NewMaterializedByInsert(rctx, c.g, c.in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			br, bb := fd.BudgetUsed(bctx)
-			rr, rb := fd.BudgetUsed(rctx)
-			if br != rr || bb != rb {
-				t.Fatalf("build charged %d rows / %d bytes, reference %d / %d", br, bb, rr, rb)
-			}
-			// Under a cap both abort at the same association, having
-			// charged the same bytes.
-			capped := fd.Budget{MaxRows: rr / 2}
-			bctx, rctx = fd.WithBudget(context.Background(), capped), fd.WithBudget(context.Background(), capped)
-			_, berr := fd.NewMaterialized(bctx, c.g, c.in)
-			_, rerr := fd.NewMaterializedByInsert(rctx, c.g, c.in)
-			br, bb = fd.BudgetUsed(bctx)
-			rr, rb = fd.BudgetUsed(rctx)
-			if !errors.Is(berr, fd.ErrBudgetExceeded) || !errors.Is(rerr, fd.ErrBudgetExceeded) || br != rr || bb != rb {
-				t.Fatalf("capped build: %v after %d rows / %d bytes, reference %v after %d / %d", berr, br, bb, rerr, rr, rb)
-			}
-			check := func(when string) {
-				t.Helper()
-				if got, want := bulk.State(), ref.State(); got != want {
-					t.Fatalf("%s: state differs\ngot:\n%s\nwant:\n%s", when, got, want)
-				}
-				if got, want := bulk.Rel().String(), ref.Rel().String(); got != want {
-					t.Fatalf("%s: Rel differs\ngot:\n%s\nwant:\n%s", when, got, want)
-				}
-			}
-			check("build")
-			ctx := context.Background()
-			for step := 0; step < 10; step++ {
-				base, tp, del := randomEdit(rng, c.g, c.in)
-				if err := bulk.ApplyRow(ctx, c.g, c.in, base, tp, del); err != nil {
+			for seed := int64(0); seed < 12; seed++ {
+				c := materializeCases(seed)[i]
+				rng := rand.New(rand.NewSource(1993 + seed))
+				mat, err := fd.NewMaterialized(ctx, c.g, c.in)
+				if err != nil {
 					t.Fatal(err)
 				}
-				if err := ref.ApplyRow(ctx, c.g, c.in, base, tp, del); err != nil {
-					t.Fatal(err)
+				for step := 0; step < 30; step++ {
+					base, tp, del := randomEdit(rng, c.g, c.in)
+					d, next, mode, err := fd.MaintainRows(ctx, mat, nil, c.g, c.in, base, tp, del)
+					if err != nil || mode != "delta" {
+						t.Fatalf("seed %d edit %d: maintained via %q: %v", seed, step, mode, err)
+					}
+					mat = next
+					want, err := fd.FullDisjunction(ctx, c.g, c.in)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, want := d.String(), want.Sorted().String(); got != want {
+						t.Fatalf("seed %d edit %d (delete=%v of %s %v): D(G) differs\ngot:\n%s\nwant:\n%s", seed, step, del, base, tp, got, want)
+					}
 				}
-				check(fmt.Sprintf("edit %d", step))
-			}
-			want, err := fd.FullDisjunction(ctx, c.g, c.in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bulk.Rel().EqualSet(want) {
-				t.Fatal("maintained D(G) differs from a full recomputation")
 			}
 		})
 	}

@@ -22,7 +22,7 @@ package fd
 // distinct front is charged (resident accounting); replay charges only
 // tuples the SubsumeSet actually keeps — an arrival it subsumes away
 // is never charged and entries it evicts are refunded immediately
-// (InsertPruning reports them), so residency tracks the maximal front,
+// (Insert reports them), so residency tracks the maximal front,
 // not the distinct multiset. At finalize the accumulator swaps its
 // working charges for one charge of the final front, so the caller
 // ends in the same "result is charged" state as a cache hit.
@@ -329,23 +329,18 @@ func (a *dgAccum) replay(set *relation.SubsumeSet) error {
 }
 
 // replayPartition replays one partition of ps into set, charging what the
-// set keeps to the accumulator's resident charges. Equal tuples share a
-// partition, so the per-partition seen filter dedups exactly;
-// InsertPruning both drops subsumed arrivals (never charged) and evicts
-// entries the arrival subsumes (refunded on the spot). A charge refusal
-// removes the just-inserted tuple again so residency equals charges;
-// any front tuple its eviction orphaned is restored by the recursive
-// child replay that re-delivers the refused tuple.
+// set keeps to the accumulator's resident charges. Insert drops
+// repeated and subsumed arrivals (never charged) and evicts entries the
+// arrival subsumes (refunded on the spot). A charge refusal removes the
+// just-inserted tuple again so residency equals charges; any front
+// tuple its eviction orphaned is restored by the recursive child replay
+// that re-delivers the refused tuple.
 func (a *dgAccum) replayPartition(ps *spill.PartitionSet, idx int, set *relation.SubsumeSet) error {
-	seen := newTupleSeen(64)
 	return ps.Read(idx, a.s, func(t relation.Tuple) error {
 		if err := a.ctx.Err(); err != nil {
 			return err
 		}
-		if !seen.insert(t) {
-			return nil
-		}
-		displaced, inserted := set.InsertPruning(t)
+		displaced, inserted := set.Insert(t)
 		for _, d := range displaced {
 			b := d.ApproxBytes()
 			a.tr.Refund(1, b)

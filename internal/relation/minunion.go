@@ -131,7 +131,7 @@ func RemoveSubsumedBatch(name string, b *Batch) *Relation {
 	if b.Len() == 0 {
 		return out
 	}
-	keep, _ := subsumedKeepBits(b, nil)
+	keep := subsumedKeepBits(b)
 	sel := make([]int32, 0, b.Len())
 	for i := 0; i < b.Len(); i++ {
 		if keep[i] {
@@ -149,7 +149,7 @@ func removeSubsumedColumnar(r *Relation) *Relation {
 	if n <= 1 {
 		return r.Distinct()
 	}
-	keep, _ := subsumedKeepBits(r.Columns(), nil)
+	keep := subsumedKeepBits(r.Columns())
 	out := New(r.Name, r.Scheme())
 	for i := 0; i < n; i++ {
 		if keep[i] {
@@ -159,41 +159,19 @@ func removeSubsumedColumnar(r *Relation) *Relation {
 	return out
 }
 
-// keepSource is a run of rows the mask-partitioned kernel
-// (subsumedKeepBits) reads by row id: the physical rows of a Batch
-// (RemoveSubsumed, RemoveSubsumedBatch) or a tuple slice
-// (NewSubsumeSetFrom). Arity must not exceed 64.
-type keepSource interface {
-	// shape returns the row count n and the arity w.
-	shape() (n, w int)
-	// cellHashes fills colh[c*n+i] with cell (i, c) mixed into the
-	// hash seed.
-	cellHashes(colh []uint64)
-	// nonNullMasks sets masks[r], for every listed row r, to the bit
-	// set of r's non-null columns.
-	nonNullMasks(rows []int32, masks []uint64)
-	// equalRows and equalOn confirm hash candidates value by value
-	// (null equal to null), on every column or on the given ones.
-	equalRows(i, j int32) bool
-	equalOn(i, j int32, positions []int) bool
-}
-
-// subsumedKeepBits computes, over the rows of src, which rows survive
-// duplicate removal (first occurrence wins) and strict subsumption
-// removal, and returns the non-null mask of every first occurrence
-// (other rows read zero). When counts is non-nil (length n), it also
-// records each first occurrence's multiplicity there; duplicates read
-// zero, so counts[i] > 0 exactly when row i is a first occurrence, and
-// keep[i] then says whether it is maximal.
-func subsumedKeepBits(src keepSource, counts []int32) (keep []bool, masks []uint64) {
-	n, w := src.shape()
+// subsumedKeepBits computes, over the physical rows of b (which must
+// carry no selection vector, so row ids and visible rows coincide, and
+// whose arity must not exceed 64), which rows survive duplicate removal
+// (first occurrence wins) and strict subsumption removal.
+func subsumedKeepBits(b *Batch) []bool {
+	n, w := b.n, len(b.cols)
 
 	// Hash every cell once per column up front. Both the dedup pass and
 	// the subsumption probes only need internally consistent bucket
 	// keys, not the canonical chained hash, so this single column sweep
 	// feeds everything below.
 	colh := make([]uint64, w*n)
-	src.cellHashes(colh)
+	b.cellHashes(colh)
 
 	// Whole-row hashes combined from the per-column hashes.
 	hashes := make([]uint64, n)
@@ -217,7 +195,7 @@ func subsumedKeepBits(src keepSource, counts []int32) (keep []bool, masks []uint
 	}
 	tmask := uint64(tsize - 1)
 	slots := make([]int32, tsize) // row+1; 0 = empty
-	keep = make([]bool, n)
+	keep := make([]bool, n)
 	distinctRows := make([]int32, 0, n)
 	for i := 0; i < n; i++ {
 		h := hashes[i]
@@ -230,14 +208,11 @@ func subsumedKeepBits(src keepSource, counts []int32) (keep []bool, masks []uint
 				break
 			}
 			j := s - 1
-			if hashes[j] == h && src.equalRows(j, int32(i)) {
+			if hashes[j] == h && b.EqualRows(int(j), b, i) {
 				first = j
 				break
 			}
 			idx = (idx + 1) & tmask
-		}
-		if counts != nil {
-			counts[first]++
 		}
 		if first != int32(i) {
 			continue
@@ -247,8 +222,8 @@ func subsumedKeepBits(src keepSource, counts []int32) (keep []bool, masks []uint
 	}
 
 	// Null masks as plain uint64s.
-	masks = make([]uint64, n)
-	src.nonNullMasks(distinctRows, masks)
+	masks := make([]uint64, n)
+	b.nonNullMasks(distinctRows, masks)
 
 	// Group distinct rows by mask (first-occurrence order).
 	type vgroup struct {
@@ -319,7 +294,7 @@ func subsumedKeepBits(src keepSource, counts []int32) (keep []bool, masks []uint
 				hh := hashOn(h.rows, g.positions, scratch[:len(h.rows)])
 				for j, hrow := range h.rows {
 					for _, grow := range g.index[hh[j]] {
-						if keep[grow] && src.equalOn(hrow, grow, g.positions) {
+						if keep[grow] && b.EqualRowsOn(int(hrow), b, int(grow), g.positions, g.positions) {
 							keep[grow] = false
 						}
 					}
@@ -327,13 +302,8 @@ func subsumedKeepBits(src keepSource, counts []int32) (keep []bool, masks []uint
 			}
 		}
 	}
-	return keep, masks
+	return keep
 }
-
-// A Batch feeds the kernel its physical rows; it must carry no
-// selection vector, so row ids and visible rows coincide.
-
-func (b *Batch) shape() (int, int) { return b.n, len(b.cols) }
 
 func (b *Batch) cellHashes(colh []uint64) {
 	n := b.n
@@ -360,50 +330,6 @@ func (b *Batch) nonNullMasks(rows []int32, masks []uint64) {
 			}
 		}
 	}
-}
-
-func (b *Batch) equalRows(i, j int32) bool { return b.EqualRows(int(i), b, int(j)) }
-
-func (b *Batch) equalOn(i, j int32, positions []int) bool {
-	return b.EqualRowsOn(int(i), b, int(j), positions, positions)
-}
-
-// tupleRows feeds the kernel a tuple slice over one scheme, read in
-// place: no columnar copy.
-type tupleRows []Tuple
-
-func (ts tupleRows) shape() (int, int) {
-	if len(ts) == 0 {
-		return 0, 0
-	}
-	return len(ts), ts[0].scheme.Arity()
-}
-
-func (ts tupleRows) cellHashes(colh []uint64) {
-	n := len(ts)
-	for i, t := range ts {
-		for c, v := range t.vals {
-			colh[c*n+i] = v.MixHash64(value.HashSeed())
-		}
-	}
-}
-
-func (ts tupleRows) nonNullMasks(rows []int32, masks []uint64) {
-	for _, row := range rows {
-		var m uint64
-		for c, v := range ts[row].vals {
-			if !v.IsNull() {
-				m |= 1 << uint(c)
-			}
-		}
-		masks[row] = m
-	}
-}
-
-func (ts tupleRows) equalRows(i, j int32) bool { return ts[i].Equal(ts[j]) }
-
-func (ts tupleRows) equalOn(i, j int32, positions []int) bool {
-	return ts[i].EqualOn(ts[j], positions, positions)
 }
 
 // removeSubsumedWide is the Mask-keyed row-major fallback for schemes

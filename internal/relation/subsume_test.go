@@ -23,64 +23,41 @@ func randomNullableTuple(rng *rand.Rand, s *Scheme, pNull float64) Tuple {
 	return NewTuple(s, vals...)
 }
 
-// Differential property: after any sequence of inserts and deletes the
-// SubsumeSet's maximal front equals RemoveSubsumed over the surviving
-// multiset (and the O(n²) naive reference). Deletes remove previously
-// inserted occurrences, so the multiset bookkeeping is exercised too.
+// Differential property: after any sequence of inserts and deletes
+// the SubsumeSet holds exactly the reference front — RemoveSubsumed
+// (and the O(n²) naive reference) over the previous front plus an
+// inserted tuple, or the previous front minus a deleted live tuple,
+// which promotes nothing.
 func TestSubsumeSetMatchesBatchRandomized(t *testing.T) {
 	s := NewScheme("a", "b", "c")
 	rng := rand.New(rand.NewSource(193))
 	for trial := 0; trial < 40; trial++ {
 		set := NewSubsumeSet(s)
-		var live []Tuple
+		front := New("front", s)
 		steps := 10 + rng.Intn(30)
 		for step := 0; step < steps; step++ {
-			if len(live) > 0 && rng.Intn(3) == 0 {
-				i := rng.Intn(len(live))
-				tp := live[i]
-				live = append(live[:i], live[i+1:]...)
+			if front.Len() > 0 && rng.Intn(3) == 0 {
+				i := rng.Intn(front.Len())
+				tp := front.At(i)
 				if !set.Delete(tp) {
 					t.Fatalf("trial %d step %d: delete of live tuple %v refused", trial, step, tp)
 				}
+				front = front.Filter(func(u Tuple) bool { return !u.Equal(tp) })
 			} else {
 				tp := randomNullableTuple(rng, s, 0.4)
-				live = append(live, tp)
 				set.Insert(tp)
+				all := front.Clone()
+				all.Add(tp)
+				front = RemoveSubsumed(all)
+				if naive := RemoveSubsumedNaive(all.Distinct()); !front.EqualSet(naive) {
+					t.Fatalf("trial %d step %d: batch and naive fronts differ", trial, step)
+				}
 			}
-			batch := FromTuples("live", s, live)
-			want := RemoveSubsumed(batch.Distinct())
-			wantNaive := RemoveSubsumedNaive(batch.Distinct())
-			if got, want := set.Len(), batch.Distinct().Len(); got != want {
-				t.Fatalf("trial %d step %d: Len = %d, want %d distinct live tuples", trial, step, got, want)
+			if got := set.Len(); got != front.Len() {
+				t.Fatalf("trial %d step %d: Len = %d, want %d", trial, step, got, front.Len())
 			}
-			// The one-pass build over the surviving multiset reaches the
-			// state the Insert/Delete history reached.
-			if err := sameSubsumeState(NewSubsumeSetFrom(s, live), set); err != nil {
-				t.Fatalf("trial %d step %d: bulk build of the live multiset: %v", trial, step, err)
-			}
-			got := set.Rel("live")
-			if !got.EqualSet(want) {
-				t.Fatalf("trial %d step %d: incremental front differs from batch\nlive: %v\ngot:\n%v\nwant:\n%v",
-					trial, step, live, got, want)
-			}
-			if !got.EqualSet(wantNaive) {
-				t.Fatalf("trial %d step %d: incremental front differs from naive reference", trial, step)
-			}
-		}
-		// InsertPruning keeps only the front resident, so Len counts
-		// the distinct maximal tuples of everything inserted so far.
-		pruned := NewSubsumeSet(s)
-		var seen []Tuple
-		for step := 0; step < steps; step++ {
-			tp := randomNullableTuple(rng, s, 0.4)
-			seen = append(seen, tp)
-			pruned.InsertPruning(tp)
-			want := RemoveSubsumed(FromTuples("seen", s, seen).Distinct())
-			if pruned.Len() != want.Len() {
-				t.Fatalf("trial %d pruning step %d: Len = %d, want %d", trial, step, pruned.Len(), want.Len())
-			}
-			if !pruned.Rel("seen").EqualSet(want) {
-				t.Fatalf("trial %d pruning step %d: pruned front differs from batch", trial, step)
+			if got, want := set.Rel("front").String(), front.Sorted().String(); got != want {
+				t.Fatalf("trial %d step %d: incremental front differs from batch\ngot:\n%s\nwant:\n%s", trial, step, got, want)
 			}
 		}
 	}
@@ -88,17 +65,15 @@ func TestSubsumeSetMatchesBatchRandomized(t *testing.T) {
 
 // sameSubsumeState reports the first difference between two sets'
 // observable state: live entries in order (tuple values and kinds,
-// key, count, maximal flag), the non-null tally, and each group's
-// entries under its full-tuple hash.
+// key), and each group's entries under every one of its indexes.
 func sameSubsumeState(got, want *SubsumeSet) error {
 	if len(got.live) != len(want.live) {
 		return fmt.Errorf("%d live entries, want %d", len(got.live), len(want.live))
 	}
 	for i, g := range got.live {
 		w := want.live[i]
-		if g.key != w.key || g.count != w.count || g.maximal != w.maximal {
-			return fmt.Errorf("live[%d] = %v key %q x%d maximal=%v, want %v key %q x%d maximal=%v",
-				i, g.t, g.key, g.count, g.maximal, w.t, w.key, w.count, w.maximal)
+		if g.key != w.key {
+			return fmt.Errorf("live[%d] = %v key %q, want %v key %q", i, g.t, g.key, w.t, w.key)
 		}
 		for c := 0; c < g.t.scheme.Arity(); c++ {
 			if g.t.At(c).Kind() != w.t.At(c).Kind() || !g.t.At(c).Equal(w.t.At(c)) {
@@ -106,52 +81,40 @@ func sameSubsumeState(got, want *SubsumeSet) error {
 			}
 		}
 	}
-	if got.liveNonNull != want.liveNonNull {
-		return fmt.Errorf("liveNonNull = %d, want %d", got.liveNonNull, want.liveNonNull)
-	}
 	// Groups are compared by their live entries: maintenance may leave
 	// empty groups behind, which hold nothing observable.
-	for k, wg := range want.groups {
-		gg := got.groups[k]
-		if gg == nil {
-			if n := countEntries(wg); n > 0 {
-				return fmt.Errorf("group %v missing, want %d entries", wg.positions, n)
+	for _, set := range []*SubsumeSet{got, want} {
+		n := 0
+		for _, g := range set.groups {
+			own := countEntries(g.own)
+			for _, ix := range g.sub {
+				if countEntries(ix) != own {
+					return fmt.Errorf("group %v: an index holds %d entries, its own index %d", g.positions, countEntries(ix), own)
+				}
 			}
-			continue
+			n += own
 		}
-		if n := countEntries(wg); countEntries(gg) != n {
-			return fmt.Errorf("group %v holds %d entries, want %d", wg.positions, countEntries(gg), n)
-		}
-		for h, wes := range wg.entries {
-			if len(gg.entries[h]) != len(wes) {
-				return fmt.Errorf("group %v: bucket %x has %d entries, want %d", wg.positions, h, len(gg.entries[h]), len(wes))
-			}
+		if n != len(set.live) {
+			return fmt.Errorf("groups hold %d entries, live %d", n, len(set.live))
 		}
 	}
-	for k, gg := range got.groups {
-		if wg := want.groups[k]; countEntries(gg) > 0 && wg == nil {
-			return fmt.Errorf("extra group %v", gg.positions)
-		}
-		own := 0
-		for _, es := range gg.sub[k].buckets {
-			own += len(es)
-		}
-		if own != countEntries(gg) {
-			return fmt.Errorf("group %v: own index holds %d entries, want %d", gg.positions, own, countEntries(gg))
+	for k, wg := range want.groups {
+		if n := countEntries(wg.own); n > 0 && (got.groups[k] == nil || countEntries(got.groups[k].own) != n) {
+			return fmt.Errorf("group %v does not hold %d entries", wg.positions, n)
 		}
 	}
 	return nil
 }
 
-func countEntries(g *ssGroup) int {
+func countEntries(ix *ssSubIndex) int {
 	n := 0
-	for _, es := range g.entries {
+	for _, es := range ix.buckets {
 		n += len(es)
 	}
 	return n
 }
 
-// insertEach is the reference the one-pass build must match: Insert
+// insertEach is the reference the bulk constructor must match: Insert
 // per tuple, in order.
 func insertEach(s *Scheme, ts []Tuple) *SubsumeSet {
 	set := NewSubsumeSet(s)
@@ -161,13 +124,13 @@ func insertEach(s *Scheme, ts []Tuple) *SubsumeSet {
 	return set
 }
 
-// The one-pass build matches per-tuple Insert entry for entry on
-// random multisets of every arity up to 6 and past 64 (the per-tuple
-// fallback), including duplicates, the all-null tuple, and Int/Float
-// values that compare Equal (the first occurrence must be the one
-// kept). Both sets then take the same random Insert/Delete sequence
-// and must stay equal.
-func TestNewSubsumeSetFromMatchesInsert(t *testing.T) {
+// The bulk constructor over a front matches per-tuple Insert of the
+// same tuples entry for entry, on random fronts of every arity up to 6
+// and past 64, including the lone all-null tuple and Int/Float values
+// that compare Equal (the front's own tuple must be the one kept).
+// Both sets then take the same random Insert/Delete sequence and must
+// stay equal.
+func TestNewSubsumeSetOfMatchesInsert(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 60; trial++ {
 		arity := 1 + trial%6
@@ -179,7 +142,7 @@ func TestNewSubsumeSetFromMatchesInsert(t *testing.T) {
 			names[i] = fmt.Sprintf("a%d", i)
 		}
 		s := NewScheme(names...)
-		var ts []Tuple
+		all := New("x", s)
 		for i, n := 0, rng.Intn(40); i < n; i++ {
 			tp := randomNullableTuple(rng, s, []float64{0.1, 0.4, 0.8}[trial%3])
 			if rng.Intn(5) == 0 {
@@ -191,26 +154,27 @@ func TestNewSubsumeSetFromMatchesInsert(t *testing.T) {
 				}
 				tp = NewTuple(s, vals...)
 			}
-			ts = append(ts, tp)
-			if rng.Intn(4) == 0 {
-				ts = append(ts, ts[rng.Intn(len(ts))])
-			}
+			all.Add(tp)
 		}
 		if trial%7 == 0 {
-			ts = append(ts, AllNull(s))
+			all.Add(AllNull(s))
 		}
-		bulk, ref := NewSubsumeSetFrom(s, ts), insertEach(s, ts)
+		front := RemoveSubsumed(all)
+		if trial%13 == 0 {
+			front = FromTuples("x", s, []Tuple{AllNull(s)})
+		}
+		bulk, ref := NewSubsumeSetOf(front), insertEach(s, front.Tuples())
 		if err := sameSubsumeState(bulk, ref); err != nil {
-			t.Fatalf("trial %d (arity %d, %d tuples): %v", trial, arity, len(ts), err)
+			t.Fatalf("trial %d (arity %d, %d tuples): %v", trial, arity, front.Len(), err)
 		}
-		if got, want := bulk.Rel("x").String(), RemoveSubsumed(FromTuples("x", s, ts)).Sorted().String(); got != want {
-			t.Fatalf("trial %d: front differs from RemoveSubsumed:\n%s\nwant:\n%s", trial, got, want)
+		if got, want := bulk.Rel("x").String(), front.Sorted().String(); got != want {
+			t.Fatalf("trial %d: render differs from the front:\n%s\nwant:\n%s", trial, got, want)
 		}
 		for step := 0; step < 20; step++ {
 			tp := randomNullableTuple(rng, s, 0.4)
-			if len(ts) > 0 && rng.Intn(2) == 0 {
-				tp = ts[rng.Intn(len(ts))]
-				if a, b := bulk.Delete(tp), ref.Delete(tp); a != b {
+			if bulk.Len() > 0 && rng.Intn(2) == 0 {
+				tp = bulk.live[rng.Intn(bulk.Len())].t
+				if a, b := bulk.Delete(tp), ref.Delete(tp); !a || !b {
 					t.Fatalf("trial %d step %d: Delete(%v) = %v on the bulk set, %v on the reference", trial, step, tp, a, b)
 				}
 			} else {
@@ -224,8 +188,8 @@ func TestNewSubsumeSetFromMatchesInsert(t *testing.T) {
 	}
 }
 
-// Deleting a tuple that was never inserted (or already fully removed)
-// must be refused, not silently diverge.
+// Deleting a tuple that is not live must be refused, and a duplicate
+// insert adds nothing for a second delete to remove.
 func TestSubsumeSetDeleteUntracked(t *testing.T) {
 	s := NewScheme("a")
 	set := NewSubsumeSet(s)
@@ -233,13 +197,17 @@ func TestSubsumeSetDeleteUntracked(t *testing.T) {
 	if set.Delete(tp) {
 		t.Fatal("delete on empty set should report untracked")
 	}
-	set.Insert(tp)
-	set.Insert(tp)
-	if !set.Delete(tp) || !set.Delete(tp) {
-		t.Fatal("two inserts must admit two deletes")
+	if _, ok := set.Insert(tp); !ok {
+		t.Fatal("first insert refused")
+	}
+	if _, ok := set.Insert(tp); ok {
+		t.Fatal("duplicate insert admitted")
+	}
+	if !set.Delete(tp) {
+		t.Fatal("delete of the live tuple refused")
 	}
 	if set.Delete(tp) {
-		t.Fatal("third delete should report untracked")
+		t.Fatal("second delete should report untracked")
 	}
 	if got := set.Rel("x").Len(); got != 0 {
 		t.Fatalf("emptied set renders %d rows", got)
@@ -276,8 +244,9 @@ func TestSubsumeSetRenderIsHistoryIndependent(t *testing.T) {
 	}
 }
 
-// The all-null tuple is maximal exactly while it is alone, and must be
-// re-promoted when the last non-null tuple is deleted.
+// The all-null tuple is live exactly while it is alone: a non-null
+// insert evicts it, and deleting that tuple promotes nothing, so it
+// comes back only when inserted again.
 func TestSubsumeSetAllNullLifecycle(t *testing.T) {
 	s := NewScheme("a", "b")
 	set := NewSubsumeSet(s)
@@ -287,20 +256,25 @@ func TestSubsumeSetAllNullLifecycle(t *testing.T) {
 		t.Fatalf("lone all-null tuple not maximal: %d rows", got)
 	}
 	other := NewTuple(s, value.Int(1), value.Null)
-	set.Insert(other)
-	if got := set.Rel("x"); got.Len() != 1 || got.At(0).Get("a").IsNull() {
-		t.Fatalf("all-null tuple not demoted by non-null insert:\n%v", got)
+	if d, ok := set.Insert(other); !ok || len(d) != 1 || !d[0].Equal(allNull) {
+		t.Fatalf("non-null insert displaced %v (inserted %v), want the all-null tuple", d, ok)
+	}
+	if _, ok := set.Insert(allNull); ok {
+		t.Fatal("all-null tuple admitted beside a non-null one")
 	}
 	if !set.Delete(other) {
 		t.Fatal("delete refused")
 	}
-	if got := set.Rel("x").Len(); got != 1 {
-		t.Fatalf("all-null tuple not re-promoted after delete: %d rows", got)
+	if got := set.Len(); got != 0 {
+		t.Fatalf("delete promoted %d tuples, want none", got)
+	}
+	if _, ok := set.Insert(allNull); !ok || set.Rel("x").Len() != 1 {
+		t.Fatal("all-null tuple not admitted into the empty set")
 	}
 }
 
-// InsertPruning unit coverage for the three spill-replay paths: exact
-// duplicates bump the count without displacing, tuples subsumed on
+// Insert's pruning paths, which the spill replay's charges follow:
+// exact duplicates are rejected without displacing, tuples subsumed on
 // arrival are rejected, and an arriving tuple evicts every live entry
 // it subsumes — returning each exactly once so the caller can refund
 // its budget charges.
@@ -313,12 +287,12 @@ func TestSubsumeSetInsertPruningPaths(t *testing.T) {
 
 	// Fresh maximal tuple: inserted, nothing displaced.
 	partial := tup(i(1), value.Null, value.Null)
-	if d, ok := set.InsertPruning(partial); !ok || len(d) != 0 {
+	if d, ok := set.Insert(partial); !ok || len(d) != 0 {
 		t.Fatalf("fresh insert: displaced=%v inserted=%v", d, ok)
 	}
 
 	// Exact duplicate: not inserted, nothing displaced, Len unchanged.
-	if d, ok := set.InsertPruning(tup(i(1), value.Null, value.Null)); ok || len(d) != 0 {
+	if d, ok := set.Insert(tup(i(1), value.Null, value.Null)); ok || len(d) != 0 {
 		t.Fatalf("duplicate insert: displaced=%v inserted=%v", d, ok)
 	}
 	if set.Len() != 1 {
@@ -328,11 +302,11 @@ func TestSubsumeSetInsertPruningPaths(t *testing.T) {
 	// A second incomparable partial, then a complete tuple subsuming
 	// both: both must come back displaced (once each) and leave the set.
 	other := tup(value.Null, i(2), value.Null)
-	if _, ok := set.InsertPruning(other); !ok {
+	if _, ok := set.Insert(other); !ok {
 		t.Fatal("incomparable partial rejected")
 	}
 	complete := tup(i(1), i(2), i(3))
-	d, ok := set.InsertPruning(complete)
+	d, ok := set.Insert(complete)
 	if !ok || len(d) != 2 {
 		t.Fatalf("subsuming insert: displaced=%d inserted=%v, want 2 displaced", len(d), ok)
 	}
@@ -349,7 +323,7 @@ func TestSubsumeSetInsertPruningPaths(t *testing.T) {
 
 	// Subsumed on arrival: rejected with no displacement, even though
 	// the arriving tuple is novel.
-	if d, ok := set.InsertPruning(tup(i(1), value.Null, i(3))); ok || len(d) != 0 {
+	if d, ok := set.Insert(tup(i(1), value.Null, i(3))); ok || len(d) != 0 {
 		t.Fatalf("subsumed arrival: displaced=%v inserted=%v", d, ok)
 	}
 
@@ -358,150 +332,4 @@ func TestSubsumeSetInsertPruningPaths(t *testing.T) {
 	if front.Len() != 1 || !front.Tuples()[0].Equal(complete) {
 		t.Fatalf("front = %v, want just %v", front.Tuples(), complete)
 	}
-}
-
-// decodeBulkCase turns fuzz bytes into a scheme, a multiset, and an
-// Insert/Delete tail. data[0] picks the arity (1–5, or 65 when it is
-// 0xff) and data[1] the multiset size; then each tuple takes one byte
-// per attribute (b%4: 0 is NULL, else Int(b%4-1)), so duplicates and
-// the all-null tuple arise often. Each remaining op is one byte (even:
-// Insert, odd: Delete) followed by a tuple.
-func decodeBulkCase(data []byte) (s *Scheme, ts []Tuple, ops []Tuple, dels []bool) {
-	if len(data) < 2 {
-		return nil, nil, nil, nil
-	}
-	arity := int(data[0])%5 + 1
-	if data[0] == 0xff {
-		arity = 65
-	}
-	names := make([]string, arity)
-	for i := range names {
-		names[i] = fmt.Sprintf("a%d", i)
-	}
-	s = NewScheme(names...)
-	n := int(data[1]) % 48
-	data = data[2:]
-	next := func() (Tuple, bool) {
-		if len(data) < arity {
-			return Tuple{}, false
-		}
-		vals := make([]value.Value, arity)
-		for c := range vals {
-			if b := data[c] % 4; b != 0 {
-				vals[c] = value.Int(int64(b - 1))
-			}
-		}
-		data = data[arity:]
-		return NewTuple(s, vals...), true
-	}
-	for i := 0; i < n; i++ {
-		tp, ok := next()
-		if !ok {
-			break
-		}
-		ts = append(ts, tp)
-	}
-	for len(data) > 0 {
-		del := data[0]%2 == 1
-		data = data[1:]
-		tp, ok := next()
-		if !ok {
-			break
-		}
-		ops = append(ops, tp)
-		dels = append(dels, del)
-	}
-	return s, ts, ops, dels
-}
-
-// encodeBulkCase is decodeBulkCase's inverse for seeding: cells are -1
-// for NULL or 0–2.
-func encodeBulkCase(arity int, tuples [][]int, ops [][]int, dels []bool) []byte {
-	a := byte(arity - 1)
-	if arity == 65 {
-		a = 0xff
-	}
-	out := []byte{a, byte(len(tuples))}
-	cell := func(v int) byte { return byte(v + 1) }
-	for _, tp := range tuples {
-		for _, v := range tp {
-			out = append(out, cell(v))
-		}
-	}
-	for i, tp := range ops {
-		op := byte(0)
-		if dels[i] {
-			op = 1
-		}
-		out = append(out, op)
-		for _, v := range tp {
-			out = append(out, cell(v))
-		}
-	}
-	return out
-}
-
-// FuzzSubsumeSetBulk checks the one-pass build against per-tuple
-// Insert on decoded multisets — entries, counts, flags and Rel() keys
-// — then applies the decoded Insert/Delete tail to both and checks
-// again. The seeds (the fixtures above plus one arity-65 case) run
-// under plain `go test`.
-func FuzzSubsumeSetBulk(f *testing.F) {
-	const N = -1
-	// TestSubsumeSetAllNullLifecycle: the lone all-null tuple, then a
-	// non-null arrival and its delete.
-	f.Add(encodeBulkCase(2, [][]int{{N, N}}, [][]int{{1, N}, {1, N}}, []bool{false, true}))
-	// TestSubsumeSetInsertPruningPaths: a duplicate partial, an
-	// incomparable partial, and a complete tuple subsuming both.
-	f.Add(encodeBulkCase(3, [][]int{{1, N, N}, {1, N, N}, {N, 2, N}, {1, 2, 0}, {1, N, 0}},
-		[][]int{{1, 2, 0}, {1, N, N}}, []bool{true, true}))
-	// TestSubsumeSetDeleteUntracked: two inserts admit two deletes, not
-	// three.
-	f.Add(encodeBulkCase(1, [][]int{{1}, {1}}, [][]int{{1}, {1}, {1}}, []bool{true, true, true}))
-	// TestSubsumeSetRenderIsHistoryIndependent: noise inserted and
-	// removed around a null-bearing multiset.
-	f.Add(encodeBulkCase(2, [][]int{{0, N}, {0, 1}, {N, 1}, {2, 2}, {N, N}, {0, 1}},
-		[][]int{{2, 2}, {0, 1}, {0, 1}, {0, N}}, []bool{false, true, true, true}))
-	// Wider than 64 attributes: the per-tuple fallback.
-	wide := func(v int) []int {
-		tp := make([]int, 65)
-		for i := range tp {
-			tp[i] = N
-		}
-		tp[0], tp[64] = v, 2-v
-		return tp
-	}
-	allNull := wide(0)
-	allNull[0], allNull[64] = N, N
-	f.Add(encodeBulkCase(65, [][]int{wide(0), wide(1), wide(0), allNull}, [][]int{wide(0), wide(1)}, []bool{true, true}))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s, ts, ops, dels := decodeBulkCase(data)
-		if s == nil {
-			return
-		}
-		bulk, ref := NewSubsumeSetFrom(s, ts), insertEach(s, ts)
-		check := func(when string) {
-			if err := sameSubsumeState(bulk, ref); err != nil {
-				t.Fatalf("%s: %v", when, err)
-			}
-			a, b := bulk.Rel("x"), ref.Rel("x")
-			for i := 0; i < a.Len() || i < b.Len(); i++ {
-				if i >= a.Len() || i >= b.Len() || a.At(i).Key() != b.At(i).Key() {
-					t.Fatalf("%s: Rel differs at row %d:\n%v\nwant:\n%v", when, i, a, b)
-				}
-			}
-		}
-		check("bulk build")
-		for i, tp := range ops {
-			if dels[i] {
-				if x, y := bulk.Delete(tp), ref.Delete(tp); x != y {
-					t.Fatalf("op %d: Delete(%v) = %v, reference %v", i, tp, x, y)
-				}
-			} else {
-				bulk.Insert(tp)
-				ref.Insert(tp)
-			}
-		}
-		check("after the tail")
-	})
 }

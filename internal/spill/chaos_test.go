@@ -209,8 +209,8 @@ func TestChaosSpillRepartitionFaultTypedAbort(t *testing.T) {
 		t.Fatalf("repartition after exhausted fault: %v", err)
 	}
 	defer child.Close()
-	if child.TotalTuples() != 12 {
-		t.Fatalf("retried child holds %d tuples, want 12", child.TotalTuples())
+	if n := countTuples(t, child); n != 12 {
+		t.Fatalf("retried child holds %d tuples, want 12", n)
 	}
 }
 

@@ -177,25 +177,6 @@ func RouteHash(h, salt uint64, n int) int {
 // N returns the partition fan-out.
 func (ps *PartitionSet) N() int { return len(ps.parts) }
 
-// Tuples returns the tuple count written to partition i.
-func (ps *PartitionSet) Tuples(i int) int {
-	if ps.parts[i] == nil {
-		return 0
-	}
-	return ps.parts[i].tuples
-}
-
-// TotalTuples returns the tuple count across all partitions.
-func (ps *PartitionSet) TotalTuples() int {
-	n := 0
-	for _, p := range ps.parts {
-		if p != nil {
-			n += p.tuples
-		}
-	}
-	return n
-}
-
 // Bytes returns the total frame bytes written.
 func (ps *PartitionSet) Bytes() int64 {
 	var n int64
@@ -371,14 +352,6 @@ func (ps *PartitionSet) DropPart(i int) {
 	os.Remove(name)
 	ps.tr.RefundSpill(p.bytes)
 	ps.parts[i] = nil
-}
-
-// PartBytes returns the frame bytes written to partition i.
-func (ps *PartitionSet) PartBytes(i int) int64 {
-	if ps.parts[i] == nil {
-		return 0
-	}
-	return ps.parts[i].bytes
 }
 
 // RecordStats publishes each created partition's final byte count

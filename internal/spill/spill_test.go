@@ -86,8 +86,8 @@ func TestPartitionSetRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ps.TotalTuples() != len(tuples) {
-		t.Fatalf("TotalTuples = %d, want %d", ps.TotalTuples(), len(tuples))
+	if n := countTuples(t, ps); n != len(tuples) {
+		t.Fatalf("partitions hold %d tuples, want %d", n, len(tuples))
 	}
 	if tr.SpillBytes() != ps.Bytes() || tr.SpillBytes() == 0 {
 		t.Fatalf("tracker spill bytes %d, partition bytes %d", tr.SpillBytes(), ps.Bytes())
@@ -401,8 +401,8 @@ func TestRepartitionSaltedRoundTrip(t *testing.T) {
 	if child.Created() < 2 {
 		t.Fatalf("salted re-split landed in %d partitions; salt failed to decorrelate", child.Created())
 	}
-	if child.TotalTuples() != len(tuples) {
-		t.Fatalf("child holds %d tuples, want %d", child.TotalTuples(), len(tuples))
+	if n := countTuples(t, child); n != len(tuples) {
+		t.Fatalf("child holds %d tuples, want %d", n, len(tuples))
 	}
 	got := map[string]int{}
 	for i := 0; i < child.N(); i++ {
@@ -425,15 +425,11 @@ func TestRepartitionSaltedRoundTrip(t *testing.T) {
 	if child.Index(tuples[3]) != child.Index(tuples[len(tuples)-1]) {
 		t.Fatal("equal tuples routed apart under the child salt")
 	}
-	// Dropping the parent partition refunds exactly its bytes.
-	before := tr.SpillBytes()
-	parentBytes := ps.PartBytes(0)
+	// Dropping the parent's only partition refunds exactly its bytes,
+	// leaving the child's charged.
 	ps.DropPart(0)
-	if tr.SpillBytes() != before-parentBytes {
-		t.Fatalf("DropPart refunded %d, want %d", before-tr.SpillBytes(), parentBytes)
-	}
-	if ps.Tuples(0) != 0 {
-		t.Fatal("dropped partition still reports tuples")
+	if tr.SpillBytes() != child.Bytes() {
+		t.Fatalf("after DropPart the tracker holds %d spill bytes, want the child's %d", tr.SpillBytes(), child.Bytes())
 	}
 	if err := ps.Read(0, testScheme(), func(relation.Tuple) error {
 		t.Fatal("dropped partition delivered a tuple")
@@ -473,4 +469,19 @@ func TestSaltedKeyRoutingColocates(t *testing.T) {
 	if !moved {
 		t.Fatal("DepthSalt(1) and DepthSalt(2) routed 32 tuples identically")
 	}
+}
+
+// countTuples reads every partition of ps and returns the tuple count.
+func countTuples(t *testing.T, ps *PartitionSet) int {
+	t.Helper()
+	n := 0
+	for i := 0; i < ps.N(); i++ {
+		if err := ps.Read(i, testScheme(), func(relation.Tuple) error {
+			n++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return n
 }

@@ -60,13 +60,14 @@ func TestApplyRowsDeltaMatchesColdRebuild(t *testing.T) {
 
 	tl := mappedTool(t, paperdb.Instance())
 
-	// First edit: no materialization exists yet, so it rebuilds.
+	// First edit: no materialization exists yet, so the workspace's
+	// D(G) seeds one and the edit delta-applies.
 	nctx, notes := obs.WithNotes(ctx)
 	if err := tl.ApplyRows(nctx, "Children", rowVals(rowA...), false); err != nil {
 		t.Fatal(err)
 	}
-	if got := notes.Get("dg_maint"); got != "recompute" {
-		t.Errorf("first edit maintained via %q, want recompute", got)
+	if got := notes.Get("dg_maint"); got != "delta" {
+		t.Errorf("first edit maintained via %q, want delta", got)
 	}
 	// Second edit: the materialization matches, so it delta-applies.
 	nctx, notes = obs.WithNotes(ctx)
@@ -200,10 +201,11 @@ func testRowsDeltaBudgetAbortRollsBack(t *testing.T) {
 
 // testRowsFirstBuildFailureRollsBack fails a session's first
 // materialization (no materialization exists yet, so MaintainRows
-// builds one) with a budget abort mid-build, a cancellation, and an
-// injected panic, which keeps unwinding. Each leaves the instance, the
-// active workspace's D(G) and view memo, and the fd memo cache as they
-// were before the edit.
+// seeds one from the workspace's D(G) and applies the delta to it)
+// with a budget abort after the seed, a cancellation, and a panic
+// injected into the seed, which keeps unwinding. Each leaves the
+// instance, the active workspace's D(G) and view memo, and the fd memo
+// cache as they were before the edit.
 func testRowsFirstBuildFailureRollsBack(t *testing.T) {
 	prev := fd.SetCacheCapacity(64)
 	defer fd.SetCacheCapacity(prev)
@@ -215,14 +217,13 @@ func testRowsFirstBuildFailureRollsBack(t *testing.T) {
 		fail func(t *testing.T, tl *Tool)
 	}{
 		{"budget abort mid-build", func(t *testing.T, tl *Tool) {
-			// A cap of Σ|R_n| rows: the joins' associations push the
-			// build past it mid-build.
-			children := tl.Instance.Relation("Children").Len() + 1
-			est := int64(children + tl.Instance.Relation("Parents").Len() + tl.Instance.Relation("PhoneDir").Len())
-			ctx := fd.WithBudget(context.Background(), fd.Budget{MaxRows: est})
+			// A cap of D(G)'s rows: the seed charges them all, and the
+			// delta's first association is refused.
+			dg := int64(tl.Active().dg.Len())
+			ctx := fd.WithBudget(context.Background(), fd.Budget{MaxRows: dg})
 			err := tl.ApplyRows(ctx, "Children", rowB, false)
-			if rows, _ := fd.BudgetUsed(ctx); !errors.Is(err, fd.ErrBudgetExceeded) || rows == 0 {
-				t.Fatalf("want a budget abort after charging, got %v with %d rows charged", err, rows)
+			if rows, _ := fd.BudgetUsed(ctx); !errors.Is(err, fd.ErrBudgetExceeded) || rows != dg {
+				t.Fatalf("want a budget abort after the seed's %d rows, got %v with %d rows charged", dg, err, rows)
 			}
 		}},
 		{"cancellation", func(t *testing.T, tl *Tool) {
@@ -235,7 +236,7 @@ func testRowsFirstBuildFailureRollsBack(t *testing.T) {
 		{"injected panic", func(t *testing.T, tl *Tool) {
 			fault.Enable(1)
 			defer fault.Disable()
-			fault.Set("fd.materialize", fault.Spec{Mode: fault.ModePanic, After: 2, Times: 1})
+			fault.Set("fd.materialize", fault.Spec{Mode: fault.ModePanic, Times: 1})
 			defer func() {
 				if p, ok := recover().(*fault.Panic); !ok {
 					t.Fatalf("want an injected panic, recovered %v", p)

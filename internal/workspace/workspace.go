@@ -42,11 +42,11 @@ type Workspace struct {
 	// Nil after a restore or a row edit made while inactive; the next
 	// TargetView or row edit computes it. Never serialized.
 	dg *relation.Relation
-	// dgm is the delta-maintainable form of dg (full subsumption state,
-	// not just the maximal front), built lazily on the first row edit
+	// dgm is the delta-maintainable form of dg (its maximal front in an
+	// incremental subsumption set), seeded from dg on the first row edit
 	// and kept by successful maintenance. Never serialized: a restored
-	// session rebuilds it on its next edit, which renders identically
-	// because Materialized.Rel() is canonical.
+	// session seeds or, with dg nil, rebuilds it on its next edit, which
+	// renders identically because Materialized.Rel() is canonical.
 	dgm *fd.Materialized
 	// view memoizes TargetView computed while this workspace was the
 	// active one; cleared wherever dg is replaced or dropped.
@@ -511,10 +511,11 @@ func (t *Tool) maintainRowsLocked(ctx context.Context, base string, tup relation
 	// A delta may half-apply before it fails or panics, so the old
 	// materialization is dead unless maintenance hands one back. The
 	// caller rolls the instance back, so the old act.dg still describes
-	// the (restored) state and stays.
+	// the (restored) state and stays. Without a materialization,
+	// maintenance seeds one from act.dg, the D(G) before this edit.
 	mat := act.dgm
 	act.dgm = nil
-	dg, mat, _, err := fd.MaintainRows(ctx, mat, act.Mapping.Graph, t.Instance, base, tup, del)
+	dg, mat, _, err := fd.MaintainRows(ctx, mat, act.dg, act.Mapping.Graph, t.Instance, base, tup, del)
 	if err != nil {
 		return err
 	}
